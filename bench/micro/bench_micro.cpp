@@ -1,15 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the engineering substrate:
-// bitset frontiers, atomic combines, grid partitioning, sub-block loading,
-// and the scheduler's evaluation pass. Not paper figures — these quantify
-// the building blocks the figures are made of.
+// bitset frontiers, CRC32C, varint-delta decode, grid partitioning,
+// sub-block loading, and the scheduler's evaluation pass. Not paper
+// figures — these quantify the building blocks the figures are made of.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "compress/codec.hpp"
 #include "core/scheduler.hpp"
-#include "core/slot.hpp"
 #include "graph/generators.hpp"
 #include "partition/grid_builder.hpp"
 #include "partition/grid_dataset.hpp"
 #include "util/bitset.hpp"
+#include "util/crc32c.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,23 +46,50 @@ void BM_BitsetIterate(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetIterate);
 
-void BM_AtomicMinDouble(benchmark::State& state) {
-  core::Slot slot = core::SlotFromDouble(1e18);
+// CRC32C over a 1 MiB buffer; Arg(1) = the dispatched path (SSE4.2 where
+// the CPU has it), Arg(0) = the portable table path it falls back to.
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> data(1u << 20);
   Xoshiro256 rng(1);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.Next());
+  const bool dispatched = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::AtomicMinDouble(&slot, rng.NextDouble() * 1e18));
+        dispatched ? Crc32c(0, data.data(), data.size())
+                   : Crc32cPortable(0, data.data(), data.size()));
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+  state.SetLabel(dispatched ? "dispatched" : "portable");
 }
-BENCHMARK(BM_AtomicMinDouble);
+BENCHMARK(BM_Crc32c)->Arg(1)->Arg(0);
 
-void BM_AtomicAddDouble(benchmark::State& state) {
-  core::Slot slot = core::SlotFromDouble(0);
+// Varint-delta decode of a (src,dst)-sorted RMAT edge array, the shape of a
+// grid sub-block payload; bytes/s counts decoded (raw) output.
+void BM_VarintDeltaDecode(benchmark::State& state) {
+  RmatOptions o;
+  o.scale = 16;
+  o.edge_factor = 16;
+  std::vector<Edge> edges = GenerateRmat(o).edges();
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  const std::span<const std::uint8_t> raw(
+      reinterpret_cast<const std::uint8_t*>(edges.data()),
+      edges.size() * sizeof(Edge));
+  const compress::Codec& codec = compress::VarintDeltaCodec();
+  std::vector<std::uint8_t> encoded(codec.MaxCompressedSize(raw.size()));
+  encoded.resize(codec.Encode(raw, encoded).value());
+  std::vector<std::uint8_t> out(raw.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::AtomicAddDouble(&slot, 1.0));
+    if (!codec.Decode(encoded, out).ok()) state.SkipWithError("decode failed");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw.size()));
 }
-BENCHMARK(BM_AtomicAddDouble);
+BENCHMARK(BM_VarintDeltaDecode);
 
 void BM_RmatGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -21,7 +21,7 @@ bool Bfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
                 Weight /*w*/, core::ContribSlot slot) const {
   const std::uint64_t src_level = state.contrib(slot)[src];
   if (src_level == UINT64_MAX) return false;
-  return core::AtomicMinU64(&state.array(0)[dst], src_level + 1);
+  return core::MinU64(&state.array(0)[dst], src_level + 1);
 }
 
 double Bfs::ValueOf(const core::VertexState& state, VertexId v) const {

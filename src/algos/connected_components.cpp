@@ -20,7 +20,7 @@ void ConnectedComponents::MakeContribution(core::VertexState& state,
 bool ConnectedComponents::Apply(core::VertexState& state, VertexId src,
                                 VertexId dst, Weight /*w*/,
                                 core::ContribSlot slot) const {
-  return core::AtomicMinU64(&state.array(0)[dst], state.contrib(slot)[src]);
+  return core::MinU64(&state.array(0)[dst], state.contrib(slot)[src]);
 }
 
 double ConnectedComponents::ValueOf(const core::VertexState& state,

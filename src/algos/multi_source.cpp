@@ -8,31 +8,12 @@
 
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
-using core::AtomicMinDouble;
-using core::AtomicMinU64;
-using core::Slot;
+using core::AddDouble;
+using core::MaxDouble;
+using core::MinDouble;
+using core::MinU64;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-
-/// Atomic max over double payloads; returns true iff the value rose.
-/// (Mirrors the solo widest-path combine so lane results stay
-/// bit-identical.)
-bool AtomicMaxDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (SlotToDouble(observed) < value) {
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(value),
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 // ---- MultiBfs --------------------------------------------------------------
 
@@ -65,7 +46,7 @@ bool MultiBfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
     const std::uint64_t src_level =
         contrib[static_cast<std::size_t>(src) * k_lanes + k];
     if (src_level == UINT64_MAX) continue;
-    if (AtomicMinU64(&state.array(k)[dst], src_level + 1)) activate = true;
+    if (MinU64(&state.array(k)[dst], src_level + 1)) activate = true;
   }
   return activate;
 }
@@ -111,7 +92,7 @@ bool MultiSssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
     // sum must never win a relaxation or activate the destination.
     const double candidate = src_dist + static_cast<double>(w);
     if (!std::isfinite(candidate)) continue;
-    if (AtomicMinDouble(&state.array(k)[dst], candidate)) activate = true;
+    if (MinDouble(&state.array(k)[dst], candidate)) activate = true;
   }
   return activate;
 }
@@ -155,7 +136,7 @@ bool MultiWidestPath::Apply(core::VertexState& state, VertexId src,
     if (src_width <= 0.0) continue;
     const double bottleneck = std::min(src_width, static_cast<double>(w));
     if (!std::isfinite(bottleneck) || bottleneck <= 0.0) continue;
-    if (AtomicMaxDouble(&state.array(k)[dst], bottleneck)) activate = true;
+    if (MaxDouble(&state.array(k)[dst], bottleneck)) activate = true;
   }
   return activate;
 }
@@ -209,7 +190,7 @@ bool MultiPpr::Apply(core::VertexState& state, VertexId src, VertexId dst,
         SlotToDouble(contrib[static_cast<std::size_t>(src) * k_lanes + k]);
     if (share == 0.0) continue;
     const double updated =
-        AtomicAddDouble(&state.array(k_lanes + k)[dst], share);
+        AddDouble(&state.array(k_lanes + k)[dst], share);
     if (updated > epsilon_) activate = true;
   }
   return activate;

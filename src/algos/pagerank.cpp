@@ -4,7 +4,7 @@
 
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
+using core::AddDouble;
 using core::Slot;
 using core::SlotFromDouble;
 using core::SlotToDouble;
@@ -35,7 +35,7 @@ void PageRank::Accumulate(core::VertexState& state, VertexId src, VertexId dst,
                           Weight /*w*/, core::ContribSlot c,
                           core::AccumSlot a) const {
   const double share = SlotToDouble(state.contrib(c)[src]);
-  if (share != 0.0) AtomicAddDouble(&state.accum(a)[dst], share);
+  if (share != 0.0) AddDouble(&state.accum(a)[dst], share);
 }
 
 void PageRank::Finalize(core::VertexState& state, VertexId begin, VertexId end,

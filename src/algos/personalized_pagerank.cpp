@@ -4,7 +4,7 @@
 
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
+using core::AddDouble;
 using core::SlotFromDouble;
 using core::SlotToDouble;
 
@@ -45,7 +45,7 @@ bool PersonalizedPageRank::Apply(core::VertexState& state, VertexId src,
                                  core::ContribSlot slot) const {
   const double share = SlotToDouble(state.contrib(slot)[src]);
   if (share == 0.0) return false;
-  const double updated = AtomicAddDouble(&state.array(kResidual)[dst], share);
+  const double updated = AddDouble(&state.array(kResidual)[dst], share);
   return updated > epsilon_;
 }
 

@@ -33,7 +33,7 @@ bool Sssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
   // unreached (inf) destination or activate it.
   const double candidate = src_dist + static_cast<double>(w);
   if (!std::isfinite(candidate)) return false;
-  return core::AtomicMinDouble(&state.array(0)[dst], candidate);
+  return core::MinDouble(&state.array(0)[dst], candidate);
 }
 
 double Sssp::ValueOf(const core::VertexState& state, VertexId v) const {

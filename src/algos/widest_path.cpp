@@ -8,26 +8,8 @@
 
 namespace graphsd::algos {
 
-using core::Slot;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-
-/// Atomic max over double payloads; returns true iff the value rose.
-bool AtomicMaxDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (SlotToDouble(observed) < value) {
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(value),
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 void WidestPath::Init(core::VertexState& state, core::Frontier& initial) {
   GRAPHSD_CHECK(root_ < state.num_vertices());
@@ -51,7 +33,7 @@ bool WidestPath::Apply(core::VertexState& state, VertexId src, VertexId dst,
   // non-finite width that would then dominate every later max.
   const double bottleneck = std::min(src_width, static_cast<double>(w));
   if (!std::isfinite(bottleneck) || bottleneck <= 0.0) return false;
-  return AtomicMaxDouble(&state.array(0)[dst], bottleneck);
+  return core::MaxDouble(&state.array(0)[dst], bottleneck);
 }
 
 double WidestPath::ValueOf(const core::VertexState& state, VertexId v) const {

@@ -108,26 +108,95 @@ class VarintDeltaCodecImpl final : public Codec {
       return CorruptDataError(
           "varint-delta codec: raw size is not a whole number of edges");
     }
-    std::size_t pos = 0;
-    std::uint32_t prev_src = 0;
-    std::uint32_t prev_dst = 0;
-    for (std::size_t off = 0; off < raw_out.size(); off += kPairBytes) {
+    Cursor at;
+    DecodeFast(encoded, raw_out, at);
+    // Checked tail: the last edges (fewer than kFastBytes left), and any
+    // edge the fast path declined, which this loop then rejects with the
+    // precise error.
+    for (; at.off < raw_out.size(); at.off += kPairBytes) {
       GRAPHSD_ASSIGN_OR_RETURN(const std::uint32_t src,
-                               NextValue(encoded, &pos, prev_src));
+                               NextValue(encoded, &at.pos, at.prev_src));
       GRAPHSD_ASSIGN_OR_RETURN(const std::uint32_t dst,
-                               NextValue(encoded, &pos, prev_dst));
-      std::memcpy(raw_out.data() + off, &src, sizeof(src));
-      std::memcpy(raw_out.data() + off + sizeof(src), &dst, sizeof(dst));
-      prev_src = src;
-      prev_dst = dst;
+                               NextValue(encoded, &at.pos, at.prev_dst));
+      std::memcpy(raw_out.data() + at.off, &src, sizeof(src));
+      std::memcpy(raw_out.data() + at.off + sizeof(src), &dst, sizeof(dst));
+      at.prev_src = src;
+      at.prev_dst = dst;
     }
-    if (pos != encoded.size()) {
+    if (at.pos != encoded.size()) {
       return CorruptDataError("varint-delta codec: trailing bytes after edges");
     }
     return Status::Ok();
   }
 
  private:
+  // Two worst-case varints: one whole edge fits when this many bytes remain.
+  static constexpr std::size_t kFastBytes = 2 * kMaxVarintBytes;
+
+  // Where decoding stands: input position, output offset, previous edge.
+  struct Cursor {
+    std::size_t pos = 0;
+    std::size_t off = 0;
+    std::uint32_t prev_src = 0;
+    std::uint32_t prev_dst = 0;
+  };
+
+  // Reads one varint at `p` with no bounds check (the caller guarantees
+  // kMaxVarintBytes readable bytes) and applies it to `prev`. Returns false,
+  // leaving `p` alone, when the varint runs past kMaxVarintBytes or the
+  // delta steps outside the 32-bit range — the checked path then reports it.
+  static bool FastValue(const std::uint8_t*& p, std::uint32_t prev,
+                        std::uint32_t* value) noexcept {
+    std::uint64_t v = 0;
+    std::size_t n = 0;
+    for (;;) {
+      const std::uint8_t byte = p[n];
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * n);
+      ++n;
+      if ((byte & 0x80) == 0) break;
+      if (n == kMaxVarintBytes) return false;
+    }
+    const std::int64_t next = static_cast<std::int64_t>(prev) + ZigzagDecode(v);
+    if (static_cast<std::uint64_t>(next) > UINT32_MAX) return false;
+    p += n;
+    *value = static_cast<std::uint32_t>(next);
+    return true;
+  }
+
+  // Decodes whole edges while at least kFastBytes of input remain and
+  // advances `at` past them. Accepts exactly what the checked loop accepts
+  // and writes the same bytes: a declined edge is left, whole, to that loop.
+  static void DecodeFast(std::span<const std::uint8_t> encoded,
+                         std::span<std::uint8_t> raw_out,
+                         Cursor& at) noexcept {
+    if (encoded.size() < kFastBytes) return;
+    const std::uint8_t* p = encoded.data() + at.pos;
+    const std::uint8_t* const fast_end =
+        encoded.data() + (encoded.size() - kFastBytes) + 1;
+    std::uint8_t* out = raw_out.data() + at.off;
+    std::uint8_t* const out_end = raw_out.data() + raw_out.size();
+    std::uint32_t src = at.prev_src;
+    std::uint32_t dst = at.prev_dst;
+    while (out != out_end && p < fast_end) {
+      const std::uint8_t* q = p;
+      std::uint32_t next_src = 0;
+      std::uint32_t next_dst = 0;
+      if (!FastValue(q, src, &next_src) || !FastValue(q, dst, &next_dst)) {
+        break;
+      }
+      std::memcpy(out, &next_src, sizeof(next_src));
+      std::memcpy(out + sizeof(next_src), &next_dst, sizeof(next_dst));
+      out += kPairBytes;
+      p = q;
+      src = next_src;
+      dst = next_dst;
+    }
+    at.pos = static_cast<std::size_t>(p - encoded.data());
+    at.off = static_cast<std::size_t>(out - raw_out.data());
+    at.prev_src = src;
+    at.prev_dst = dst;
+  }
+
   // Reads one zigzag varint delta and applies it to `prev`, rejecting
   // truncated varints, oversized encodings and deltas that step outside
   // the 32-bit vertex-id range.

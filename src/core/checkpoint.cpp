@@ -77,6 +77,9 @@ class Reader {
 
   Status ReadBytes(void* out, std::size_t size) {
     GRAPHSD_RETURN_IF_ERROR(Need(size));
+    // An empty array's data() may be null, and memcpy's pointers must not
+    // be, even for zero bytes.
+    if (size == 0) return Status::Ok();
     std::memcpy(out, data_.data() + pos_, size);
     pos_ += size;
     return Status::Ok();

@@ -51,10 +51,12 @@ struct EngineOptions {
   /// edge span in file order and applying only its own destinations. Per-
   /// destination application order therefore equals serial, so results are
   /// bit-identical to `compute_threads = 1` for every program — float
-  /// reductions included. 0 (the default) matches the worker pool size;
-  /// 1 pins the serial reference path. Frame decode and SCIU checksum
-  /// verification also move off the consumer thread when > 1.
-  std::size_t compute_threads = 0;
+  /// reductions included. 1 (the default) is the serial path: every shard
+  /// rescans the whole span, and on a 4-core host 4 shards gave the same
+  /// wall as serial (DESIGN.md §15). 0 matches the worker pool size. SCIU
+  /// checksum verification also moves onto the pool when > 1; frame decode
+  /// runs on the fetch side at any value.
+  std::size_t compute_threads = 1;
   /// Cross-iteration value computation (SCIU step 3 / FCIU second half).
   bool enable_cross_iteration = true;
   /// State-aware scheduling: allow the on-demand I/O model at all.

@@ -9,13 +9,12 @@ FciuExecutor::SubBlockStream::Unit FciuExecutor::FetchUnit(
     std::uint32_t i, std::uint32_t j, bool need_weights) const {
   const partition::GridDataset* dataset = ctx_.dataset;
   SubBlockBuffer* buffer = ctx_.buffer;
-  // With parallel compute enabled, frame decode moves into the fetch
-  // closure: it then runs on the prefetch loader thread (or inline in sync
-  // mode), off the consumer's critical path. Cache-compressed mode keeps
-  // the consumer-side decode — the consumer needs the undecoded frame for
-  // its buffer offer.
+  // Frame decode runs in the fetch closure: on the prefetch loader thread
+  // (or inline in sync mode), off the consumer's critical path.
+  // Cache-compressed mode keeps the consumer-side decode — the consumer
+  // needs the undecoded frame for its buffer offer.
   const bool decode_in_fetch =
-      ctx_.compute_shards > 1 && dataset->compressed() && !ctx_.cache_compressed;
+      dataset->compressed() && !ctx_.cache_compressed;
   SubBlockStream::Unit unit;
   unit.skip = [buffer, i, j] { return buffer->Contains(i, j); };
   unit.fetch = [dataset, i, j, need_weights, decode_in_fetch,
@@ -90,8 +89,8 @@ Result<FciuExecutor::FetchedBlock> FciuExecutor::Fetch(
     GRAPHSD_RETURN_IF_ERROR(item.status);
     FetchedBlock fetched;
     // Decode on the consuming thread — unless the fetch closure already
-    // decoded it (parallel compute offloads decode to the loader stage; the
-    // frame is then gone).
+    // decoded it (everywhere but cache-compressed mode; the frame is then
+    // gone).
     if (ctx_.dataset->compressed() && !item.payload.frame.empty()) {
       // Secondary sub-blocks may be offered back as undecoded frames
       // (cache-compressed mode); keep a copy before decode releases it.
@@ -163,21 +162,21 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       const bool from_buffer = fetched.from_buffer();
 
       // UserFunction pass (iteration t), guarded by the active frontier.
-      std::atomic<std::uint64_t> provisional_priority{0};
+      // Its count of active-source edges is the block's buffer priority.
+      std::uint64_t provisional_priority = 0;
       {
         obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!active.IsActive(edge.src)) return;
-                          provisional_priority.fetch_add(
-                              1, std::memory_order_relaxed);
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kPrimary)) {
-                            out.Activate(edge.dst);
-                          }
-                        });
+        provisional_priority = ShardedDstApply(
+            ctx_, *block, need_weights, manifest.boundaries[j],
+            manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
+              if (!active.IsActive(edge.src)) return false;
+              if (program.Apply(state, edge.src, edge.dst, w,
+                                ContribSlot::kPrimary)) {
+                out.Activate(edge.dst);
+              }
+              return true;
+            });
       }
 
       if (two_iterations && i < j) {
@@ -208,8 +207,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         // second half of the round (and future rounds). In cache-compressed
         // mode the undecoded frame is offered instead of the decoded edges
         // — the same budget then holds ~codec-ratio more sub-blocks.
-        const std::uint64_t priority =
-            provisional_priority.load(std::memory_order_relaxed);
+        const std::uint64_t priority = provisional_priority;
         if (!fetched.frame_copy.empty()) {
           const std::uint64_t served = local.SizeBytes();
           partition::SubBlockPayload entry;

@@ -15,8 +15,15 @@
 //     kA collects iteration t and kB iteration t+1 within one FCIU round.
 //
 // All combine operations must be commutative and associative: that is the
-// property that makes both intra-interval parallelism and cross-iteration
-// value computation exact under BSP semantics.
+// property that makes cross-iteration value computation exact under BSP
+// semantics.
+//
+// Threading contract: `Apply` and `Accumulate` are called only by the task
+// that owns `dst`. Every apply pass is sharded by destination
+// (core/sharded_apply.hpp), so one destination's edges arrive on one thread
+// in file order, and a combine is a plain read-modify-write of dst's slot
+// (core/slot.hpp). Calls for different destinations may run concurrently:
+// they may read any vertex's sealed contribution, but write only dst.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +91,9 @@ class PushProgram : public Program {
   virtual void MakeContribution(VertexState& state, VertexId v,
                                 ContribSlot slot) const = 0;
 
-  /// Applies one edge using the source contribution in `slot`. Must be
-  /// thread safe (atomic combine on dst). Returns true iff dst must be
-  /// (re)activated for the following iteration.
+  /// Applies one edge using the source contribution in `slot`, combining
+  /// into dst's value (called only by the task that owns dst; see above).
+  /// Returns true iff dst must be (re)activated for the following iteration.
   virtual bool Apply(VertexState& state, VertexId src, VertexId dst, Weight w,
                      ContribSlot slot) const = 0;
 };
@@ -103,7 +110,8 @@ class GatherProgram : public Program {
   /// Resets accumulator `a` to the iteration base value for all vertices.
   virtual void ResetAccum(VertexState& state, AccumSlot a) const = 0;
 
-  /// accum(a)[dst] += contribution(c)[src]; must be thread safe.
+  /// accum(a)[dst] += contribution(c)[src]; called only by the task that
+  /// owns dst (see above).
   virtual void Accumulate(VertexState& state, VertexId src, VertexId dst,
                           Weight w, ContribSlot c, AccumSlot a) const = 0;
 

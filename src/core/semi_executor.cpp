@@ -1,7 +1,5 @@
 #include "core/semi_executor.hpp"
 
-#include <atomic>
-
 #include "core/sharded_apply.hpp"
 #include "util/clock.hpp"
 
@@ -75,11 +73,11 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
     unit.skip = [buffer = ctx_.buffer, i = i, j = j] {
       return buffer->Contains(i, j);
     };
-    // Parallel compute moves frame decode into the fetch closure (loader
-    // thread, or inline in sync mode) — except in cache-compressed mode,
-    // where the consumer needs the undecoded frame for its buffer offer.
-    const bool decode_in_fetch = ctx_.compute_shards > 1 &&
-                                 dataset.compressed() && !ctx_.cache_compressed;
+    // Frame decode runs in the fetch closure (loader thread, or inline in
+    // sync mode) — except in cache-compressed mode, where the consumer
+    // needs the undecoded frame for its buffer offer.
+    const bool decode_in_fetch =
+        dataset.compressed() && !ctx_.cache_compressed;
     unit.fetch = [&dataset, i = i, j = j, need_weights, decode_in_fetch,
                   trace = ctx_.trace,
                   iteration =
@@ -153,26 +151,26 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
       summaries->RecordFromEdges(i, j, block->edges, manifest.boundaries[i]);
     }
 
-    std::atomic<std::uint64_t> applied{0};
+    std::uint64_t applied = 0;
     {
       obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
       ScopedWallAccumulator acc(update_seconds);
-      ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                      manifest.boundaries[j + 1],
-                      [&](const Edge& edge, Weight w) {
-                        if (!active.IsActive(edge.src)) return;
-                        applied.fetch_add(1, std::memory_order_relaxed);
-                        if (program.Apply(state, edge.src, edge.dst, w,
-                                          ContribSlot::kPrimary)) {
-                          out.Activate(edge.dst);
-                        }
-                      });
+      applied = ShardedDstApply(
+          ctx_, *block, need_weights, manifest.boundaries[j],
+          manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
+            if (!active.IsActive(edge.src)) return false;
+            if (program.Apply(state, edge.src, edge.dst, w,
+                              ContribSlot::kPrimary)) {
+              out.Activate(edge.dst);
+            }
+            return true;
+          });
     }
 
     // Offer the block for future rounds: in semi mode every sub-block is a
     // re-read candidate, scored by the active edges it just served.
     if (!pin && !resident) {
-      const std::uint64_t priority = applied.load(std::memory_order_relaxed);
+      const std::uint64_t priority = applied;
       if (!frame_copy.empty()) {
         const std::uint64_t served = local.SizeBytes();
         partition::SubBlockPayload entry;

@@ -281,10 +281,10 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("epsilon", "1e-9", "prd: residual activation threshold");
   flags.Define("root", "0", "sssp/bfs: source vertex");
   flags.Define("threads", "0", "worker threads (0 = hardware)");
-  flags.Define("compute-threads", "0",
+  flags.Define("compute-threads", "1",
                "destination-range compute shards per apply pass "
-               "(0 = match --threads pool, 1 = serial reference; results "
-               "are bit-identical at any value)");
+               "(1 = serial, 0 = match --threads pool; results are "
+               "bit-identical at any value)");
   flags.Define("no-cross-iteration", "false", "disable cross-iteration (b1)");
   flags.Define("no-selective", "false", "disable the on-demand model (b2)");
   flags.Define("no-buffer", "false", "disable the sub-block buffer");
