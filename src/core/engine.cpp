@@ -14,7 +14,6 @@
 #include "util/clock.hpp"
 #include "util/logging.hpp"
 #include "util/str_format.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphsd::core {
 namespace {
@@ -308,7 +307,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   const std::uint64_t default_budget =
       std::max<std::uint64_t>(1, manifest.TotalEdgeBytes() / 20);
 
-  ThreadPool pool(options_.num_threads);
   // Resource sharing (DESIGN.md §13): a caller-provided buffer/pipeline
   // (the `graphsd serve` shared tier) replaces the private per-run ones.
   // Counter reporting switches to deltas against the entry snapshot so
@@ -326,7 +324,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   const SubBlockBuffer::Counters buf_before = buffer->counters();
   ExecContext ctx;
   ctx.dataset = dataset_;
-  ctx.pool = &pool;
   ctx.buffer = buffer;
   ctx.memory_budget_bytes = options_.memory_budget_bytes != 0
                                 ? options_.memory_budget_bytes
@@ -351,16 +348,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   }
   ctx.summaries = summaries;
   ctx.cache_compressed = options_.cache_compressed && dataset_->compressed();
-  // Destination-range compute sharding (core/sharded_apply.hpp): 0 follows
-  // the pool size, 1 is the bit-exact serial reference. Results are
-  // bit-identical either way; only wall time changes.
-  ctx.compute_shards = options_.compute_threads == 0 ? pool.size()
-                                                     : options_.compute_threads;
-  // Critical-path measurement for the sharded applies (the executors copy
-  // ctx, so the accumulator must outlive them; folded into the report at
-  // the end). Passive: never read during the run.
-  double apply_excess = 0;
-  ctx.apply_excess = &apply_excess;
   // Run-local cancellation: chains the caller's token (signal handlers trip
   // that one) and arms the optional deadline. Executors poll it at fetch
   // boundaries; the prefetch loader drains queued reads when it trips.
@@ -398,7 +385,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   report.algorithm = program.name();
   report.dataset = manifest.name;
   report.overlap_io = overlap;
-  report.compute_shards = ctx.compute_shards;
   const partition::DecodeStats decode_before = dataset_->decode_stats();
 
   VertexState& state = *state_;
@@ -708,7 +694,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   }
 
   report.iterations = iterations;
-  report.apply_serialization_seconds = apply_excess;
   const SubBlockBuffer::Counters buf_now = buffer->counters();
   report.buffer_hits = base.buffer_hits + (buf_now.hits - buf_before.hits);
   report.buffer_misses =
@@ -735,7 +720,6 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   const std::uint64_t default_budget =
       std::max<std::uint64_t>(1, manifest.TotalEdgeBytes() / 20);
 
-  ThreadPool pool(options_.num_threads);
   std::unique_ptr<SubBlockBuffer> local_buffer;
   SubBlockBuffer* buffer = options_.shared_buffer;
   if (buffer == nullptr) {
@@ -749,17 +733,11 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   const SubBlockBuffer::Counters buf_before = buffer->counters();
   ExecContext ctx;
   ctx.dataset = dataset_;
-  ctx.pool = &pool;
   ctx.buffer = buffer;
   // Gather runs never choose the semi model (push-only), but they still
   // record summaries into a shared store and honor frame caching.
   ctx.summaries = options_.shared_summaries;
   ctx.cache_compressed = options_.cache_compressed && dataset_->compressed();
-  ctx.compute_shards = options_.compute_threads == 0 ? pool.size()
-                                                     : options_.compute_threads;
-  // See RunPush: passive critical-path accumulator for the sharded applies.
-  double apply_excess = 0;
-  ctx.apply_excess = &apply_excess;
   std::unique_ptr<io::PrefetchPipeline> local_prefetch;
   io::PrefetchPipeline* prefetch = options_.shared_prefetch;
   if (prefetch == nullptr) {
@@ -795,7 +773,6 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   report.algorithm = program.name();
   report.dataset = manifest.name;
   report.overlap_io = overlap;
-  report.compute_shards = ctx.compute_shards;
   const partition::DecodeStats decode_before = dataset_->decode_stats();
 
   VertexState& state = *state_;
@@ -906,7 +883,6 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   }
 
   report.iterations = iterations;
-  report.apply_serialization_seconds = apply_excess;
   const SubBlockBuffer::Counters buf_now = buffer->counters();
   report.buffer_hits = base.buffer_hits + (buf_now.hits - buf_before.hits);
   report.buffer_misses =

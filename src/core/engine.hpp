@@ -43,20 +43,6 @@ class SkipSummaryStore;
 enum class RoundModelChoice : std::uint8_t { kAuto, kOnDemand, kFull, kSemi };
 
 struct EngineOptions {
-  /// Worker threads (0 = hardware concurrency).
-  std::size_t num_threads = 0;
-  /// Destination-range shards per compute pass (core/sharded_apply.hpp):
-  /// each apply loop splits its destination interval into this many
-  /// contiguous sub-ranges, one pool task each, every task scanning the
-  /// edge span in file order and applying only its own destinations. Per-
-  /// destination application order therefore equals serial, so results are
-  /// bit-identical to `compute_threads = 1` for every program — float
-  /// reductions included. 1 (the default) is the serial path: every shard
-  /// rescans the whole span, and on a 4-core host 4 shards gave the same
-  /// wall as serial (DESIGN.md §15). 0 matches the worker pool size. SCIU
-  /// checksum verification also moves onto the pool when > 1; frame decode
-  /// runs on the fetch side at any value.
-  std::size_t compute_threads = 1;
   /// Cross-iteration value computation (SCIU step 3 / FCIU second half).
   bool enable_cross_iteration = true;
   /// State-aware scheduling: allow the on-demand I/O model at all.

@@ -10,13 +10,11 @@
 #include "obs/trace.hpp"
 #include "partition/grid_dataset.hpp"
 #include "util/cancellation.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphsd::core {
 
 struct ExecContext {
   const partition::GridDataset* dataset = nullptr;
-  ThreadPool* pool = nullptr;
   /// May be a disabled (capacity 0) buffer; never null.
   SubBlockBuffer* buffer = nullptr;
   /// Asynchronous read pipeline. May be null or disabled (depth 0), in
@@ -29,19 +27,10 @@ struct ExecContext {
   /// Memory budget for SCIU's in-memory retention of loaded active edges
   /// (the precondition for its cross-iteration step).
   std::uint64_t memory_budget_bytes = 0;
-  /// Edges per parallel task.
-  std::size_t parallel_grain = 16384;
-  /// Destination-range shards per compute pass (core/sharded_apply.hpp).
-  /// <= 1 runs every apply loop serially — the bit-exact reference path.
-  /// Results are bit-identical at any value; this only trades the S-fold
-  /// edge re-scan against apply parallelism.
-  std::size_t compute_shards = 1;
-  /// Accumulates the wall time sharded applies lost to running more shards
-  /// than the machine has cores (Σ elapsed − longest shard per pass); see
-  /// core/sharded_apply.hpp. Null disables the measurement. Written only on
-  /// the executor's apply path (single-threaded at that point), strictly
-  /// passive.
-  double* apply_excess = nullptr;
+  /// Edges per sharded task of core/sharded_apply.hpp. Nothing under src/
+  /// reads it; the frozen benchmark harness's sharded-apply probe does, and
+  /// it goes when a benchmark change retires that probe.
+  static constexpr std::size_t parallel_grain = 16384;
   /// Cooperative-cancellation token polled at fetch boundaries (before each
   /// sub-block / pass load, never per edge). Null = not cancellable. A
   /// tripped token makes the executor return kCancelled without committing

@@ -1,6 +1,5 @@
 #include "core/fciu_executor.hpp"
 
-#include "core/sharded_apply.hpp"
 #include "util/clock.hpp"
 
 namespace graphsd::core {
@@ -167,16 +166,15 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       {
         obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        provisional_priority = ShardedDstApply(
-            ctx_, *block, need_weights, manifest.boundaries[j],
-            manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
-              if (!active.IsActive(edge.src)) return false;
-              if (program.Apply(state, edge.src, edge.dst, w,
-                                ContribSlot::kPrimary)) {
-                out.Activate(edge.dst);
-              }
-              return true;
-            });
+        ForEachEdge(block->edges, block->weights, need_weights,
+                    [&](const Edge& edge, Weight w) {
+                      if (!active.IsActive(edge.src)) return;
+                      ++provisional_priority;
+                      if (program.Apply(state, edge.src, edge.dst, w,
+                                        ContribSlot::kPrimary)) {
+                        out.Activate(edge.dst);
+                      }
+                    });
       }
 
       if (two_iterations && i < j) {
@@ -184,15 +182,14 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         // these edges produce iteration t+1 values from the same copy.
         obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
+        ForEachEdge(block->edges, block->weights, need_weights,
+                    [&](const Edge& edge, Weight w) {
+                      if (!out.IsActive(edge.src)) return;
+                      if (program.Apply(state, edge.src, edge.dst, w,
+                                        ContribSlot::kSecondary)) {
+                        out_ni.Activate(edge.dst);
+                      }
+                    });
       }
 
       if (i == j && two_iterations) {
@@ -235,15 +232,14 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       }
       if (have_diagonal) {
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, diagonal, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
+        ForEachEdge(diagonal.edges, diagonal.weights, need_weights,
+                    [&](const Edge& edge, Weight w) {
+                      if (!out.IsActive(edge.src)) return;
+                      if (program.Apply(state, edge.src, edge.dst, w,
+                                        ContribSlot::kSecondary)) {
+                        out_ni.Activate(edge.dst);
+                      }
+                    });
       }
     }
   }
@@ -294,15 +290,14 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         const partition::SubBlock* block = fetched.block;
         obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
+        ForEachEdge(block->edges, block->weights, need_weights,
+                    [&](const Edge& edge, Weight w) {
+                      if (!out.IsActive(edge.src)) return;
+                      if (program.Apply(state, edge.src, edge.dst, w,
+                                        ContribSlot::kSecondary)) {
+                        out_ni.Activate(edge.dst);
+                      }
+                    });
       }
     }
   }
@@ -356,21 +351,19 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       {
         obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          program.Accumulate(state, edge.src, edge.dst, w,
-                                             ContribSlot::kPrimary,
-                                             AccumSlot::kA);
-                        });
+        ForEachEdge(block->edges, block->weights, need_weights,
+                    [&](const Edge& edge, Weight w) {
+                      program.Accumulate(state, edge.src, edge.dst, w,
+                                         ContribSlot::kPrimary,
+                                         AccumSlot::kA);
+                    });
         if (two_iterations && i < j) {
-          ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                          manifest.boundaries[j + 1],
-                          [&](const Edge& edge, Weight w) {
-                            program.Accumulate(state, edge.src, edge.dst, w,
-                                               ContribSlot::kSecondary,
-                                               AccumSlot::kB);
-                          });
+          ForEachEdge(block->edges, block->weights, need_weights,
+                      [&](const Edge& edge, Weight w) {
+                        program.Accumulate(state, edge.src, edge.dst, w,
+                                           ContribSlot::kSecondary,
+                                           AccumSlot::kB);
+                      });
         }
       }
 
@@ -407,13 +400,12 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
           program.MakeContribution(state, v, ContribSlot::kSecondary);
         }
         if (have_diagonal) {
-          ShardedDstApply(ctx_, diagonal, need_weights, manifest.boundaries[j],
-                          manifest.boundaries[j + 1],
-                          [&](const Edge& edge, Weight w) {
-                            program.Accumulate(state, edge.src, edge.dst, w,
-                                               ContribSlot::kSecondary,
-                                               AccumSlot::kB);
-                          });
+          ForEachEdge(diagonal.edges, diagonal.weights, need_weights,
+                      [&](const Edge& edge, Weight w) {
+                        program.Accumulate(state, edge.src, edge.dst, w,
+                                           ContribSlot::kSecondary,
+                                           AccumSlot::kB);
+                      });
         }
       }
     }
@@ -441,13 +433,12 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       const partition::SubBlock* block = fetched.block;
       obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
       ScopedWallAccumulator acc(update_seconds);
-      ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                      manifest.boundaries[j + 1],
-                      [&](const Edge& edge, Weight w) {
-                        program.Accumulate(state, edge.src, edge.dst, w,
-                                           ContribSlot::kSecondary,
-                                           AccumSlot::kB);
-                      });
+      ForEachEdge(block->edges, block->weights, need_weights,
+                  [&](const Edge& edge, Weight w) {
+                    program.Accumulate(state, edge.src, edge.dst, w,
+                                       ContribSlot::kSecondary,
+                                       AccumSlot::kB);
+                  });
     }
   }
   {

@@ -18,14 +18,13 @@
 // property that makes cross-iteration value computation exact under BSP
 // semantics.
 //
-// Threading contract: `Apply` and `Accumulate` are called only by the task
-// that owns `dst`. Every apply pass is sharded by destination
-// (core/sharded_apply.hpp), so one destination's edges arrive on one thread
-// in file order, and a combine is a plain read-modify-write of dst's slot
-// (core/slot.hpp). Calls for different destinations may run concurrently:
-// they may read any vertex's sealed contribution, but write only dst.
+// Apply order: every executor calls `Apply` and `Accumulate` on the engine
+// thread, one edge at a time, in file order (ForEachEdge below), so a
+// combine is a plain read-modify-write of dst's slot (core/slot.hpp) and
+// results are bit-identical run to run, float reductions included.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +36,23 @@
 namespace graphsd::core {
 
 enum class ProgramKind { kPush, kGather };
+
+/// Calls `fn(edge, weight)` for every edge in file order — the executors'
+/// one apply loop. `weights` is aligned with `edges` when `need_weights`;
+/// otherwise every weight is 1.
+template <typename Fn>
+void ForEachEdge(const std::vector<Edge>& edges,
+                 const std::vector<Weight>& weights, bool need_weights,
+                 Fn&& fn) {
+  // Raw pointers and a hoisted count: `fn` is opaque (a virtual Apply), so
+  // the vectors' bounds would otherwise be reloaded for every edge.
+  const Edge* edge = edges.data();
+  const Weight* weight = weights.data();
+  const std::size_t count = edges.size();
+  for (std::size_t k = 0; k < count; ++k) {
+    fn(edge[k], need_weights ? weight[k] : Weight{1});
+  }
+}
 
 class Program {
  public:
@@ -92,7 +108,7 @@ class PushProgram : public Program {
                                 ContribSlot slot) const = 0;
 
   /// Applies one edge using the source contribution in `slot`, combining
-  /// into dst's value (called only by the task that owns dst; see above).
+  /// into dst's value.
   /// Returns true iff dst must be (re)activated for the following iteration.
   virtual bool Apply(VertexState& state, VertexId src, VertexId dst, Weight w,
                      ContribSlot slot) const = 0;
@@ -110,8 +126,7 @@ class GatherProgram : public Program {
   /// Resets accumulator `a` to the iteration base value for all vertices.
   virtual void ResetAccum(VertexState& state, AccumSlot a) const = 0;
 
-  /// accum(a)[dst] += contribution(c)[src]; called only by the task that
-  /// owns dst (see above).
+  /// accum(a)[dst] += contribution(c)[src].
   virtual void Accumulate(VertexState& state, VertexId src, VertexId dst,
                           Weight w, ContribSlot c, AccumSlot a) const = 0;
 

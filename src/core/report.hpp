@@ -105,19 +105,6 @@ struct ExecutionReport {
   bool overlap_io = false;
   double overlapped_seconds = 0;  // sum of per-round pipelined charges
 
-  // Destination-range compute shards the run executed with
-  // (EngineOptions::compute_threads resolved against the pool size).
-  // Results are bit-identical at any value.
-  std::uint64_t compute_shards = 1;
-
-  // Wall time the sharded applies lost to executing more shards than the
-  // machine has cores: Σ over parallel passes of (measured elapsed −
-  // longest shard task). `compute_seconds − apply_serialization_seconds`
-  // is therefore the compute wall a machine with >= compute_shards cores
-  // would see; ~0 when the shards genuinely ran concurrently and exactly 0
-  // for serial runs. Covers this execution only (not restored on resume).
-  double apply_serialization_seconds = 0;
-
   // --- Run lifecycle (DESIGN.md §12) -------------------------------------
   // A cancelled run (Ctrl-C, deadline, external token) still returns a
   // report: partial results up to the last committed iteration boundary.

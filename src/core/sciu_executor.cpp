@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/sharded_apply.hpp"
 #include "partition/dataset_verify.hpp"
 #include "util/clock.hpp"
 
@@ -54,31 +53,6 @@ Status SciuExecutor::EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
     return status;
   }
   verified_[slot] = 1;
-  return Status::Ok();
-}
-
-Status SciuExecutor::PreverifySubBlocks(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& coords,
-    bool need_weights) {
-  const auto& manifest = ctx_.dataset->manifest();
-  if (!manifest.has_checksums || coords.empty()) return Status::Ok();
-  if (verified_.empty()) {
-    // Size up front: the lazy assign inside EnsureSubBlockVerified must not
-    // race across pool workers.
-    verified_.assign(static_cast<std::size_t>(manifest.p) * manifest.p, 0);
-  }
-  std::vector<Status> results(coords.size());
-  ctx_.pool->ParallelFor(0, coords.size(), 1,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t k = b; k < e; ++k) {
-                             results[k] = EnsureSubBlockVerified(
-                                 coords[k].first, coords[k].second,
-                                 need_weights);
-                           }
-                         });
-  for (Status& status : results) {
-    if (!status.ok()) return std::move(status);
-  }
   return Status::Ok();
 }
 
@@ -371,15 +345,6 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     }
   }
 
-  // Parallel compute: hash every planned sub-block's checksums across the
-  // pool up front instead of serially inside the first FetchPass that
-  // touches it. Verification I/O is unaccounted, so bytes and scheduler
-  // decisions are untouched; under corruption the first plan-order error
-  // still wins.
-  if (ctx_.compute_shards > 1) {
-    GRAPHSD_RETURN_IF_ERROR(PreverifySubBlocks(plan_coords, need_weights));
-  }
-
   io::PrefetchStream<SciuPassPayload> stream(ctx_.prefetch, std::move(units));
   for (std::size_t pass = 0; pass < stream.planned(); ++pass) {
     if (ctx_.cancel != nullptr) {
@@ -395,20 +360,16 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     obs::TraceSpan compute_span(ctx_.trace, "compute", trace_iteration_);
     {
       // The runs tile [0, edges.size()) in read order (raw reads append;
-      // the compressed materialize rebases), so one destination-sharded
-      // apply over the whole payload visits every edge in exactly the
-      // serial per-run order.
-      const std::uint32_t j = plan_coords[pass].second;
+      // the compressed materialize rebases), so one loop over the whole
+      // payload visits every edge in run order.
       ScopedWallAccumulator acc(update_seconds);
-      ShardedDstApplyRange(
-          ctx_, payload.edges.data(), payload.weights.data(), 0,
-          payload.edges.size(), need_weights, manifest.boundaries[j],
-          manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
-            if (program.Apply(state, edge.src, edge.dst, w,
-                              ContribSlot::kPrimary)) {
-              out.Activate(edge.dst);
-            }
-          });
+      ForEachEdge(payload.edges, payload.weights, need_weights,
+                  [&](const Edge& edge, Weight w) {
+                    if (program.Apply(state, edge.src, edge.dst, w,
+                                      ContribSlot::kPrimary)) {
+                      out.Activate(edge.dst);
+                    }
+                  });
     }
     if (retain) {
       arena_edges.insert(arena_edges.end(), payload.edges.begin(),
@@ -441,18 +402,14 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
         program.MakeContribution(state, static_cast<VertexId>(v),
                                  ContribSlot::kSecondary);
       });
-      // Retained edges span every destination interval, so the shard range
-      // is the whole vertex space.
-      ShardedDstApplyRange(
-          ctx_, arena_edges.data(), arena_weights.data(), 0, arena_edges.size(),
-          need_weights, 0, manifest.num_vertices,
-          [&](const Edge& edge, Weight w) {
-            if (!qualifying.IsActive(edge.src)) return;
-            if (program.Apply(state, edge.src, edge.dst, w,
-                              ContribSlot::kSecondary)) {
-              out_ni.Activate(edge.dst);
-            }
-          });
+      ForEachEdge(arena_edges, arena_weights, need_weights,
+                  [&](const Edge& edge, Weight w) {
+                    if (!qualifying.IsActive(edge.src)) return;
+                    if (program.Apply(state, edge.src, edge.dst, w,
+                                      ContribSlot::kSecondary)) {
+                      out_ni.Activate(edge.dst);
+                    }
+                  });
       qualifying.ForEachActive(
           [&](std::size_t v) { out.Deactivate(static_cast<VertexId>(v)); });
     }

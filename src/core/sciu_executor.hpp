@@ -86,18 +86,6 @@ class SciuExecutor {
   Status EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
                                 bool need_weights);
 
-  /// Parallel-compute fast path: CRC-verifies every not-yet-verified pass
-  /// of the sweep across the pool before the stream starts, so the loader's
-  /// serialized FetchPass calls find `verified_` already set and spend no
-  /// time hashing. Distinct (i, j) slots make the concurrent `verified_`
-  /// writes race-free; the ParallelFor barrier publishes them to the loader.
-  /// Returns the first failure in plan order (the same error the serialized
-  /// path would have surfaced first). Byte-neutral: verification I/O is
-  /// unaccounted.
-  Status PreverifySubBlocks(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& coords,
-      bool need_weights);
-
   /// Reads one pass: index offsets per group, then the coalesced edge runs,
   /// in exactly the synchronous order. Runs on the loader thread when
   /// prefetching (tasks are serialized, so `verified_` needs no lock),

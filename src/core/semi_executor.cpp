@@ -1,6 +1,5 @@
 #include "core/semi_executor.hpp"
 
-#include "core/sharded_apply.hpp"
 #include "util/clock.hpp"
 
 namespace graphsd::core {
@@ -155,16 +154,15 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
     {
       obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
       ScopedWallAccumulator acc(update_seconds);
-      applied = ShardedDstApply(
-          ctx_, *block, need_weights, manifest.boundaries[j],
-          manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
-            if (!active.IsActive(edge.src)) return false;
-            if (program.Apply(state, edge.src, edge.dst, w,
-                              ContribSlot::kPrimary)) {
-              out.Activate(edge.dst);
-            }
-            return true;
-          });
+      ForEachEdge(block->edges, block->weights, need_weights,
+                  [&](const Edge& edge, Weight w) {
+                    if (!active.IsActive(edge.src)) return;
+                    ++applied;
+                    if (program.Apply(state, edge.src, edge.dst, w,
+                                      ContribSlot::kPrimary)) {
+                      out.Activate(edge.dst);
+                    }
+                  });
     }
 
     // Offer the block for future rounds: in semi mode every sub-block is a

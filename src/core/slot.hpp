@@ -2,10 +2,10 @@
 //
 // Every per-vertex quantity is stored in a 64-bit `Slot`; programs reinterpret
 // slots as double / float / u32 via std::bit_cast. Combines (min, max, add)
-// are plain read-modify-writes: the executors shard every apply pass by
-// destination (core/sharded_apply.hpp), so a destination slot is only ever
-// written by the one task that owns it, in file order. All combines used by
-// GraphSD programs are commutative and associative, which is what makes the
+// are plain read-modify-writes: the executors apply every edge on the
+// engine thread in file order (core/program.hpp), so a destination slot is
+// only ever written by that one thread. All combines used by GraphSD
+// programs are commutative and associative, which is what makes the
 // cross-iteration update exact under BSP.
 #pragma once
 

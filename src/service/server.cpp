@@ -154,6 +154,14 @@ void QueryServer::Shutdown() {
   queue_cv_.notify_all();
 }
 
+void QueryServer::HoldWorkersForTesting(bool held) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    workers_held_ = held;
+  }
+  queue_cv_.notify_all();
+}
+
 ServiceStats QueryServer::stats() const {
   ServiceStats out;
   {
@@ -459,9 +467,9 @@ void QueryServer::WorkerLoop() {
   for (;;) {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     queue_cv_.wait_for(lock, milliseconds(50), [this] {
-      return !queue_.empty() || producers_done_;
+      return (!queue_.empty() && !workers_held_) || producers_done_;
     });
-    if (queue_.empty()) {
+    if (queue_.empty() || (workers_held_ && !producers_done_)) {
       // Exit only once nothing can enqueue anymore (Wait() has joined the
       // accept loop and every reader): guarantees every submitted request
       // is executed and answered, even mid-shutdown.
@@ -535,7 +543,6 @@ void QueryServer::ExecuteBatch(PendingRun leader,
   }
 
   core::EngineOptions options;
-  options.num_threads = options_.engine_threads;
   options.prefetch_depth = options_.registry.prefetch_depth;
   options.buffer_capacity_bytes = options_.registry.buffer_capacity_bytes;
   if (options_.share_buffer) {

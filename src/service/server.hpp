@@ -50,11 +50,8 @@ struct ServerOptions {
   /// server.
   RegistryOptions registry;
   AdmissionLimits limits;
-  /// Engine-run worker threads (concurrent runs; each run additionally
-  /// parallelizes internally per `engine_threads`).
+  /// Engine-run worker threads (one engine run each, concurrently).
   std::size_t workers = 2;
-  /// Worker threads inside each engine run (0 = hardware concurrency).
-  std::size_t engine_threads = 0;
   /// Share each dataset's SubBlockBuffer + PrefetchPipeline across runs.
   /// Off = every run builds the same private tier a one-shot CLI run would.
   bool share_buffer = true;
@@ -112,6 +109,12 @@ class QueryServer {
   /// `shutdown` op and the external token).
   void Shutdown();
 
+  /// Test seam, not reachable from options, the CLI or the protocol: while
+  /// held, workers dequeue nothing, so a test can queue a known set of
+  /// requests and then release them to the coalescer at once. Wait() drains
+  /// the queue whether or not the workers are held.
+  void HoldWorkersForTesting(bool held);
+
   ServiceStats stats() const;
   DatasetRegistry& registry() noexcept { return *registry_; }
   const std::string& socket_path() const noexcept {
@@ -168,6 +171,8 @@ class QueryServer {
   /// exited: nothing can enqueue anymore, so workers may drain and stop.
   /// Guarded by queue_mutex_.
   bool producers_done_ = false;
+  /// HoldWorkersForTesting(). Guarded by queue_mutex_.
+  bool workers_held_ = false;
 
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;

@@ -35,8 +35,6 @@ Status WriteArtifact(const ReproArtifact& a, const std::string& path) {
   out << "model " << a.model << "\n";
   out << "cross_iteration " << (a.cross_iteration ? 1 : 0) << "\n";
   out << "prefetch_depth " << a.prefetch_depth << "\n";
-  out << "threads " << a.threads << "\n";
-  out << "compute_threads " << a.compute_threads << "\n";
   out << "fault " << FaultName(a.fault) << "\n";
   out << "vertices " << a.graph.num_vertices() << "\n";
   out << "edges " << a.graph.num_edges() << "\n";
@@ -131,7 +129,8 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
     } else if (key == "p") {
       a.p = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (key == "model") {
-      if (value != "auto" && value != "on_demand" && value != "full") {
+      if (value != "auto" && value != "on_demand" && value != "full" &&
+          value != "semi") {
         return Malformed(path, line_no, "bad model: " + value);
       }
       a.model = value;
@@ -140,12 +139,8 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
     } else if (key == "prefetch_depth") {
       a.prefetch_depth =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "threads") {
-      a.threads =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "compute_threads") {
-      a.compute_threads =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+    } else if (key == "threads" || key == "compute_threads") {
+      // Pre-serial-compute thread knobs: accepted, ignored.
     } else if (key == "fault") {
       if (value == "none") {
         a.fault = EngineFault::kNone;
@@ -172,10 +167,6 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
                      "edge count mismatch: declared " +
                          std::to_string(edge_count) + ", found " +
                          std::to_string(edges.size()));
-  }
-  if (a.threads == 0) return Malformed(path, line_no, "threads must be >= 1");
-  if (a.compute_threads == 0) {
-    return Malformed(path, line_no, "compute_threads must be >= 1");
   }
   if (a.p == 0) return Malformed(path, line_no, "p must be >= 1");
 

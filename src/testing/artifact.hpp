@@ -16,17 +16,19 @@
 //   root <vertex>
 //   codec none|varint-delta
 //   p <u32>
-//   model auto|on_demand|full
+//   model auto|on_demand|full|semi
 //   cross_iteration 0|1
 //   prefetch_depth <u32>
-//   threads <u32>
-//   compute_threads <u32>      # destination shards; absent in old files (= 1)
 //   fault none|drop_max_edge
 //   vertices <u32>
 //   edges <u64>
 //   weighted 0|1
 //   e <src> <dst> [<weight>]   # weight in C hex-float (%a) — exact
 //   end
+//
+// Files written before compute became serial-only may also carry
+// `threads <u32>` and `compute_threads <u32>` lines; the reader accepts and
+// ignores them.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +55,9 @@ struct ReproArtifact {
   VertexId root = 0;
   std::string codec = "none";
   std::uint32_t p = 1;
-  std::string model = "auto";  // auto | on_demand | full
+  std::string model = "auto";  // auto | on_demand | full | semi
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
-  std::uint32_t threads = 1;
-  std::uint32_t compute_threads = 1;
   EngineFault fault = EngineFault::kNone;
   EdgeList graph{0};
 };

@@ -33,11 +33,7 @@ using core::PushProgram;
 using core::RoundModelChoice;
 using core::VertexState;
 
-// Fixed-iteration gather (PageRank at N threads): only floating-point
-// reassociation separates engine from oracle — tight tolerance.
-constexpr double kRelTol = 1e-9;
-constexpr double kAbsTol = 1e-12;
-// Sum-threshold push (PR-Delta, PPR) in non-bitwise configs: execution
+// Sum-threshold push (PR-Delta, PPR) with cross-iteration on: execution
 // order decides *which* sub-epsilon residuals are abandoned unpushed, so
 // final values differ by up to ~n·ε/(1-d) ≈ 1e-6 at the harness's graph
 // sizes; a real bug (lost edge, bad accumulate) shifts values by orders of
@@ -182,12 +178,6 @@ Result<std::optional<Divergence>> RunTrial(
       config.model != "full" && config.model != "semi") {
     return InvalidArgumentError("bad trial model: " + config.model);
   }
-  if (config.threads == 0) {
-    return InvalidArgumentError("trial threads must be >= 1");
-  }
-  if (config.compute_threads == 0) {
-    return InvalidArgumentError("trial compute_threads must be >= 1");
-  }
 
   // Oracle: the unwrapped program under textbook BSP.
   auto oracle_program = MakeProgram(config.algo, root);
@@ -221,11 +211,6 @@ Result<std::optional<Divergence>> RunTrial(
   const bool cross = config.cross_iteration && !semi;
 
   EngineOptions options;
-  options.num_threads = config.threads;
-  // Sharded compute is order-preserving, so this axis rides every invariant
-  // unchanged: the bitwise/iteration gates below still key off config.threads
-  // alone, and any shard count must pass them identically.
-  options.compute_threads = config.compute_threads;
   options.enable_cross_iteration = cross;
   options.prefetch_depth = config.prefetch_depth;
   options.record_per_round = false;
@@ -249,9 +234,7 @@ Result<std::optional<Divergence>> RunTrial(
 
   // Frontier probe: only meaningful at plain-BSP boundaries.
   const AlgoSpec& algo = *spec;
-  const bool compare_frontiers =
-      push && !cross && (algo.cls == AlgoClass::kMonotone ||
-                         config.threads == 1);
+  const bool compare_frontiers = push && !cross;
   std::map<std::uint32_t, std::vector<VertexId>> engine_frontiers;
   if (compare_frontiers) {
     options.frontier_probe = [&engine_frontiers](std::uint32_t next_iteration,
@@ -279,7 +262,7 @@ Result<std::optional<Divergence>> RunTrial(
       iterations_bounded = cross;
       break;
     case AlgoClass::kSumThreshold:
-      iterations_equal = config.threads == 1 && !cross;
+      iterations_equal = !cross;
       break;
     case AlgoClass::kFixedIteration:
       iterations_equal = true;
@@ -309,21 +292,15 @@ Result<std::optional<Divergence>> RunTrial(
 
   // Value invariant.
   const bool bitwise =
-      algo.cls == AlgoClass::kMonotone ||
-      (algo.cls == AlgoClass::kSumThreshold && config.threads == 1 &&
-       !cross) ||
-      (algo.cls == AlgoClass::kFixedIteration && config.threads == 1);
-  const double rel_tol =
-      algo.cls == AlgoClass::kSumThreshold ? kRelTolThreshold : kRelTol;
-  const double abs_tol =
-      algo.cls == AlgoClass::kSumThreshold ? kAbsTolThreshold : kAbsTol;
+      algo.cls != AlgoClass::kSumThreshold || !cross;
   const VertexState* state = engine.state();
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const double oracle_value = oracle->values[v];
     const double engine_value = engine_program->ValueOf(*state, v);
     const bool same =
         bitwise ? BitwiseEqual(oracle_value, engine_value)
-                : WithinTolerance(oracle_value, engine_value, rel_tol, abs_tol);
+                : WithinTolerance(oracle_value, engine_value,
+                                  kRelTolThreshold, kAbsTolThreshold);
     if (!same) {
       d.invariant = "value";
       d.vertex = v;
@@ -376,8 +353,6 @@ Result<bool> StillDiverges(const ReproArtifact& artifact, const EdgeList& graph,
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
-  config.threads = artifact.threads;
-  config.compute_threads = artifact.compute_threads;
   config.fault = artifact.fault;
   auto divergence = RunTrial(graph, root, *built->dataset, config);
   GRAPHSD_RETURN_IF_ERROR(divergence.status());
@@ -471,8 +446,6 @@ Result<std::optional<Divergence>> ReplayArtifact(
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
-  config.threads = artifact.threads;
-  config.compute_threads = artifact.compute_threads;
   config.fault = artifact.fault;
   return RunTrial(artifact.graph, artifact.root, *built->dataset, config);
 }
@@ -528,7 +501,7 @@ class TripPushProgram final : public PushProgram {
 
 // Gather counterpart: trips after the N-th MakeContribution call. Gather
 // runs have no frontier probe, so this is the deterministic kill mechanism
-// for them (at one thread the call sequence is fixed).
+// for them (the serial call sequence is fixed).
 class TripGatherProgram final : public GatherProgram {
  public:
   TripGatherProgram(std::unique_ptr<GatherProgram> inner,
@@ -628,13 +601,12 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
   const std::string checkpoint_dir = scratch_dir + "/ck";
   (void)io::RemoveTree(checkpoint_dir);  // stale slots from a prior trial
 
-  // One thread, overlap off: the scheduler sees only modeled (deterministic)
+  // Overlap off: the scheduler sees only modeled (deterministic)
   // costs, so the killed and resumed segments replay the uninterrupted run
   // exactly and every algorithm class is bitwise-comparable.
   const auto make_options = [&config]() {
     const bool semi = config.model == "semi";
     EngineOptions options;
-    options.num_threads = 1;
     // Semi rounds are plain BSP; forcing cross off keeps the killed and
     // resumed segments on identical wave boundaries (gather runs, which
     // ignore the semi override, keep the requested bit).
@@ -854,13 +826,11 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
   }
 
   constexpr std::uint32_t kDepths[] = {0, 1, 4};
-  constexpr std::uint32_t kThreads[] = {1, 4};
-  constexpr std::uint32_t kComputeShards[] = {1, 2, 8};
   constexpr std::uint32_t kIntervals[] = {1, 2, 4, 8};
   const char* kModels[] = {"on_demand", "full", "semi", "auto"};
 
   SweepSummary summary;
-  std::uint64_t rotation = 0;  // spreads depth/threads/shards/cross per combo
+  std::uint64_t rotation = 0;  // spreads depth/cross per combo
 
   for (std::uint32_t s = 0; s < options.num_seeds; ++s) {
     const std::uint64_t seed = options.seed0 + s;
@@ -894,11 +864,7 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           config.algo = algo.name;
           config.model = model;
           config.prefetch_depth = kDepths[rotation % 3];
-          config.threads = kThreads[(rotation / 3) % 2];
-          config.cross_iteration = ((rotation / 6) % 2) == 1;
-          // Co-prime stride against the 12-combo depth/threads/cross cycle
-          // so every shard count eventually meets every other setting.
-          config.compute_threads = kComputeShards[(rotation / 5) % 3];
+          config.cross_iteration = ((rotation / 3) % 2) == 1;
           if (options.fault != EngineFault::kNone && algo.push) {
             config.fault = options.fault;
           }
@@ -922,8 +888,6 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           artifact.model = config.model;
           artifact.cross_iteration = config.cross_iteration;
           artifact.prefetch_depth = config.prefetch_depth;
-          artifact.threads = config.threads;
-          artifact.compute_threads = config.compute_threads;
           artifact.fault = config.fault;
           artifact.graph = graph_case.list;
           GRAPHSD_RETURN_IF_ERROR(MinimizeArtifact(

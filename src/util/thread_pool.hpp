@@ -1,10 +1,8 @@
 // A small fixed-size thread pool with a blocking `ParallelFor`.
 //
-// GraphSD parallelizes edge application *within* a destination interval;
-// combines are commutative atomics, so chunk scheduling order never changes
-// results. The pool is created once per engine run and reused across
-// iterations (no per-iteration thread churn). The prefetch pipeline
-// (io/prefetch.hpp) runs its loader on a dedicated single-worker pool.
+// The prefetch pipeline (io/prefetch.hpp) runs its loader on a dedicated
+// single-worker pool, which io::ReadQueue submits reads to. Edge
+// application itself is serial on the engine thread (DESIGN.md §15).
 //
 // A task that throws does not kill the worker: the first exception is
 // captured and rethrown to the next caller of Wait(). Later exceptions from

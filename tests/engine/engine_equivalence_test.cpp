@@ -49,11 +49,6 @@ std::vector<ConfigCase> AllConfigs() {
   }
   {
     core::EngineOptions o;
-    o.num_threads = 4;
-    configs.push_back({"four_threads", o});
-  }
-  {
-    core::EngineOptions o;
     o.enable_cross_iteration = false;
     o.enable_selective = false;
     o.enable_buffering = false;

@@ -33,11 +33,10 @@ class EngineLifecycleTest : public ::testing::Test {
     t_ = MakeDataset(GenerateRmat(o), dir_.Sub("ds"), 3);
   }
 
-  /// Deterministic lifecycle options: one thread and serial accounting, so
+  /// Deterministic lifecycle options: serial accounting, so
   /// killed + resumed replays the uninterrupted run bit-for-bit.
   core::EngineOptions Opts() const {
     core::EngineOptions options;
-    options.num_threads = 1;
     options.overlap_io = false;
     return options;
   }
@@ -309,7 +308,6 @@ TEST_F(EngineLifecycleTest, ConcurrentCancellationDuringBufferedPrefetch) {
   for (int rep = 0; rep < 10; ++rep) {
     CancellationToken token;
     core::EngineOptions options;
-    options.num_threads = 4;
     options.prefetch_depth = 4;
     options.enable_selective = false;  // FCIU rounds keep the buffer hot
     options.cancel = &token;

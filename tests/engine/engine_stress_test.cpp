@@ -1,4 +1,4 @@
-// Stress tests: larger graphs, real thread parallelism, repeated runs.
+// Stress tests: larger graphs, repeated runs.
 #include <gtest/gtest.h>
 
 #include "algos/widest_path.hpp"
@@ -27,29 +27,14 @@ class EngineStressTest : public ::testing::Test {
   TestDataset t_;
 };
 
-TEST_F(EngineStressTest, SsspIdenticalAcrossThreadCounts) {
-  const auto reference = ReferenceSssp(t_.graph, 0);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    core::EngineOptions options;
-    options.num_threads = threads;
-    core::GraphSDEngine engine(*t_.dataset, options);
-    algos::Sssp sssp(0);
-    (void)ValueOrDie(engine.Run(sssp));
-    SCOPED_TRACE(threads);
-    ExpectValuesNear(Values(sssp, *engine.state()), reference, 1e-9);
-  }
-}
-
 TEST_F(EngineStressTest, CcLabelsBitIdenticalAcrossRepeatedParallelRuns) {
-  // Min-combines are order-independent, so even racy schedules must land on
-  // identical labels run after run.
+  // Repeated runs with the prefetch loader active must land on identical
+  // labels run after run.
   TempDir dir2;
   TestDataset sym = MakeDataset(Symmetrize(t_.graph), dir2.Sub("sym"), 8);
-  core::EngineOptions options;
-  options.num_threads = 4;
   std::vector<VertexId> first;
   for (int run = 0; run < 3; ++run) {
-    core::GraphSDEngine engine(*sym.dataset, options);
+    core::GraphSDEngine engine(*sym.dataset, {});
     algos::ConnectedComponents cc;
     (void)ValueOrDie(engine.Run(cc));
     std::vector<VertexId> labels(sym.graph.num_vertices());
@@ -64,26 +49,9 @@ TEST_F(EngineStressTest, CcLabelsBitIdenticalAcrossRepeatedParallelRuns) {
   }
 }
 
-TEST_F(EngineStressTest, PageRankStableAcrossThreadCounts) {
-  // Double addition reorders under parallelism; values must agree to fp
-  // round-off, not bit-exactness.
-  const auto reference = ReferencePageRank(t_.graph, 8);
-  for (const std::size_t threads : {1u, 4u}) {
-    core::EngineOptions options;
-    options.num_threads = threads;
-    core::GraphSDEngine engine(*t_.dataset, options);
-    algos::PageRank pr(8);
-    (void)ValueOrDie(engine.Run(pr));
-    SCOPED_TRACE(threads);
-    ExpectValuesNear(Values(pr, *engine.state()), reference, 1e-10);
-  }
-}
-
 TEST_F(EngineStressTest, WidestPathAtScale) {
   const auto reference = ReferenceWidestPath(t_.graph, 0);
-  core::EngineOptions options;
-  options.num_threads = 4;
-  core::GraphSDEngine engine(*t_.dataset, options);
+  core::GraphSDEngine engine(*t_.dataset, {});
   algos::WidestPath widest(0);
   (void)ValueOrDie(engine.Run(widest));
   ExpectValuesNear(Values(widest, *engine.state()), reference, 1e-9);
@@ -91,13 +59,11 @@ TEST_F(EngineStressTest, WidestPathAtScale) {
 
 TEST_F(EngineStressTest, ModeledIoIsDeterministicAcrossRuns) {
   // The virtual clock depends only on the request sequence, which is
-  // deterministic for a fixed dataset and options — even multithreaded,
-  // since loads are issued from the driver thread.
-  core::EngineOptions options;
-  options.num_threads = 4;
+  // deterministic for a fixed dataset and options — even with the prefetch
+  // loader thread, since loads are issued in plan order.
   double first = -1;
   for (int run = 0; run < 2; ++run) {
-    core::GraphSDEngine engine(*t_.dataset, options);
+    core::GraphSDEngine engine(*t_.dataset, {});
     algos::PageRank pr(4);
     const auto report = ValueOrDie(engine.Run(pr));
     if (first < 0) {

@@ -37,21 +37,16 @@ struct PrefetchConfig {
   const char* name;
   std::size_t depth;
   bool overlap;
-  std::size_t threads;  // worker pool size == compute shard count
 };
 
-// The first entry is the reference: fully synchronous, serial charging,
-// single-threaded. The thread axis rotates {1, 2, 8} across the prefetch
-// configurations so the sweep also proves sharded parallel compute
-// (core/sharded_apply.hpp) invisible: bit-identical values and identical
-// byte traffic at every shard count.
+// The first entry is the reference: fully synchronous, serial charging.
 constexpr PrefetchConfig kConfigs[] = {
-    {"sync_serial", 0, false, 1},
-    {"sync_overlap_flag", 0, true, 2},  // flag without a pipeline is inert
-    {"depth1_serial", 1, false, 8},
-    {"depth1_overlap", 1, true, 1},
-    {"depth4_serial", 4, false, 2},
-    {"depth4_overlap", 4, true, 8},
+    {"sync_serial", 0, false},
+    {"sync_overlap_flag", 0, true},  // flag without a pipeline is inert
+    {"depth1_serial", 1, false},
+    {"depth1_overlap", 1, true},
+    {"depth4_serial", 4, false},
+    {"depth4_overlap", 4, true},
 };
 
 /// Everything a run exposes that prefetching must not change.
@@ -66,12 +61,6 @@ struct RunObservation {
 
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
-  // Destination-interval sharding fixes the floating-point reduction order
-  // regardless of thread count (each destination sees its updates in file
-  // order), so the bitwise comparison sweeps real thread counts too; the
-  // reference stays the single-threaded serial path.
-  options.num_threads = config.threads;
-  options.compute_threads = config.threads;
   options.prefetch_depth = config.depth;
   options.overlap_io = config.overlap;
   return options;

@@ -153,7 +153,6 @@ TEST(SemiExternalFrameCache, DecodeOnHitServesSameValuesAsDecodedCache) {
 
   const auto run = [&](bool cache_compressed) {
     core::EngineOptions options;
-    options.num_threads = 1;
     options.enable_cross_iteration = false;
     options.cache_compressed = cache_compressed;
     core::GraphSDEngine engine(*t.dataset, options);
@@ -166,7 +165,7 @@ TEST(SemiExternalFrameCache, DecodeOnHitServesSameValuesAsDecodedCache) {
   };
   const auto framed = run(true);
   const auto decoded = run(false);
-  // Single-threaded plain BSP: the apply order is identical, so the cache
+  // Plain BSP: the apply order is identical, so the cache
   // shape cannot perturb even the floating-point stream.
   for (std::size_t v = 0; v < framed.size(); ++v) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(framed[v]),

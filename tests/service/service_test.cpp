@@ -7,6 +7,7 @@
 // value encoding makes "bit-identical" literal string equality.
 #include "service/server.hpp"
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -51,7 +52,6 @@ struct ServiceFixture {
     options.registry.device = "posix";
     options.registry.verify_on_open = false;  // built in-process just now
     options.workers = 2;
-    options.engine_threads = 2;
     return options;
   }
 
@@ -59,7 +59,6 @@ struct ServiceFixture {
   std::vector<std::string> SoloHexValues(core::Program& program,
                                          const std::string& scratch) {
     core::EngineOptions options;
-    options.num_threads = 2;
     options.scratch_dir = tmp.Sub(scratch);
     EXPECT_OK(io::MakeDirectories(options.scratch_dir));
     core::GraphSDEngine engine(*td.dataset, options);
@@ -258,21 +257,13 @@ TEST(ServiceTest, BatchingCoalescesQueuedQueries) {
 
   ServerOptions options = fx.Options("s.sock");
   options.workers = 1;
-  options.batch_linger_ms = 500;
+  options.batch_linger_ms = 0;  // the coalescer takes what is queued
   QueryServer server(options);
   ASSERT_OK(server.Start());
 
-  // Occupy the worker with a long PageRank run.
-  std::thread busy([&] {
-    ServiceClient client;
-    ASSERT_OK(client.Connect(server.socket_path()));
-    ASSERT_OK(client.SendLine(
-        R"({"id":1,"op":"run","dataset":")" + fx.dataset_dir +
-        R"(","algo":"pr","iterations":300})"));
-    auto response = client.RecvLine(kRecvTimeout);
-    EXPECT_TRUE(response.ok()) << response.status().ToString();
-  });
-
+  // Hold the worker until all six queries are queued, so the coalescer sees
+  // exactly this set, whatever the arrival timing.
+  server.HoldWorkersForTesting(true);
   const std::vector<VertexId> roots = {0, 1, 2, n / 2, 0, 1};  // 2 dups
   std::vector<std::thread> threads;
   std::vector<JsonValue> responses(roots.size());
@@ -283,8 +274,15 @@ TEST(ServiceTest, BatchingCoalescesQueuedQueries) {
           RunRequestLine(400 + i, fx.dataset_dir, "bfs", roots[i]));
     });
   }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(kRecvTimeout);
+  while (server.stats().queue_depth < roots.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().queue_depth, roots.size());
+  server.HoldWorkersForTesting(false);
   for (std::thread& t : threads) t.join();
-  busy.join();
 
   algos::Bfs solo0(0);
   const auto solo_values = fx.SoloHexValues(solo0, "solo_bfs0");
@@ -301,7 +299,7 @@ TEST(ServiceTest, BatchingCoalescesQueuedQueries) {
   const service::ServiceStats stats = server.stats();
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GE(stats.deduped, 1u);
-  EXPECT_EQ(stats.run_requests, roots.size() + 1);
+  EXPECT_EQ(stats.run_requests, roots.size());
 
   server.Shutdown();
   server.Wait();

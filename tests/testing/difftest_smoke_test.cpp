@@ -94,6 +94,37 @@ TEST(DifftestSmoke, DroppedEdgeDivergesOnPath) {
   EXPECT_FALSE(clean.has_value());
 }
 
+// Writes `artifact`, reads it back and checks that every field survives.
+ReproArtifact ExpectRoundTrip(const ReproArtifact& artifact,
+                              const std::string& path) {
+  EXPECT_OK(WriteArtifact(artifact, path));
+  const ReproArtifact loaded = ValueOrDie(ReadArtifact(path));
+  EXPECT_EQ(loaded.seed, artifact.seed);
+  EXPECT_EQ(loaded.family, artifact.family);
+  EXPECT_EQ(loaded.invariant, artifact.invariant);
+  EXPECT_EQ(loaded.algo, artifact.algo);
+  EXPECT_EQ(loaded.root, artifact.root);
+  EXPECT_EQ(loaded.codec, artifact.codec);
+  EXPECT_EQ(loaded.p, artifact.p);
+  EXPECT_EQ(loaded.model, artifact.model);
+  EXPECT_EQ(loaded.cross_iteration, artifact.cross_iteration);
+  EXPECT_EQ(loaded.prefetch_depth, artifact.prefetch_depth);
+  EXPECT_EQ(loaded.fault, artifact.fault);
+  EXPECT_EQ(loaded.graph.weighted(), artifact.graph.weighted());
+  EXPECT_EQ(loaded.graph.num_vertices(), artifact.graph.num_vertices());
+  EXPECT_EQ(loaded.graph.num_edges(), artifact.graph.num_edges());
+  if (loaded.graph.num_edges() != artifact.graph.num_edges()) return loaded;
+  for (std::size_t k = 0; k < artifact.graph.num_edges(); ++k) {
+    EXPECT_EQ(loaded.graph.edges()[k].src, artifact.graph.edges()[k].src);
+    EXPECT_EQ(loaded.graph.edges()[k].dst, artifact.graph.edges()[k].dst);
+    if (artifact.graph.weighted()) {
+      // %a hex floats must round-trip bit for bit.
+      EXPECT_EQ(loaded.graph.weights()[k], artifact.graph.weights()[k]);
+    }
+  }
+  return loaded;
+}
+
 TEST(DifftestArtifact, RoundTripsExactly) {
   ScratchDir scratch = ValueOrDie(ScratchDir::Create());
   ReproArtifact artifact;
@@ -107,38 +138,56 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   artifact.model = "on_demand";
   artifact.cross_iteration = true;
   artifact.prefetch_depth = 4;
-  artifact.threads = 4;
   artifact.fault = EngineFault::kDropMaxEdge;
   EdgeList graph(5);
   graph.AddEdge(0, 1, 0.125f);
   graph.AddEdge(1, 4, 3.9999999f);  // not exactly representable in decimal
   graph.AddEdge(4, 4, 1e-30f);
   artifact.graph = std::move(graph);
+  (void)ExpectRoundTrip(artifact, scratch.path() + "/artifact.txt");
 
-  const std::string path = scratch.path() + "/artifact.txt";
-  ASSERT_OK(WriteArtifact(artifact, path));
+  // The sweep forces the semi-external model, so its repros carry
+  // `model semi`: they must load and replay. BFS on a path with the final
+  // edge dropped leaves vertex 5 unreached, so the replay must diverge.
+  ReproArtifact semi;
+  semi.seed = 77;
+  semi.family = "path";
+  semi.invariant = "iterations";
+  semi.algo = "bfs";
+  semi.codec = "none";
+  semi.p = 2;
+  semi.model = "semi";
+  semi.fault = EngineFault::kDropMaxEdge;
+  semi.graph = GeneratePath(6);
+  const ReproArtifact loaded =
+      ExpectRoundTrip(semi, scratch.path() + "/semi.txt");
+  const auto replayed =
+      ValueOrDie(ReplayArtifact(loaded, scratch.path() + "/replay"));
+  ASSERT_TRUE(replayed.has_value())
+      << "semi artifact did not reproduce the divergence";
+}
+
+// Repros written while engine runs still took thread counts carry `threads`
+// and `compute_threads` lines; they must still load, with those ignored.
+TEST(DifftestArtifact, AcceptsRetiredThreadKeys) {
+  ScratchDir scratch = ValueOrDie(ScratchDir::Create());
+  const std::string path = scratch.path() + "/old.txt";
+  ASSERT_OK(io::WriteStringToFile(
+      path,
+      "graphsd-difftest-repro v1\nseed 7\nfamily path\ninvariant value\n"
+      "algo bfs\nroot 0\ncodec none\np 2\nmodel full\ncross_iteration 0\n"
+      "prefetch_depth 1\nthreads 4\ncompute_threads 8\nfault none\n"
+      "vertices 3\nedges 2\nweighted 0\ne 0 1\ne 1 2\nend\n"));
   const ReproArtifact loaded = ValueOrDie(ReadArtifact(path));
-
-  EXPECT_EQ(loaded.seed, artifact.seed);
-  EXPECT_EQ(loaded.family, artifact.family);
-  EXPECT_EQ(loaded.invariant, artifact.invariant);
-  EXPECT_EQ(loaded.algo, artifact.algo);
-  EXPECT_EQ(loaded.root, artifact.root);
-  EXPECT_EQ(loaded.codec, artifact.codec);
-  EXPECT_EQ(loaded.p, artifact.p);
-  EXPECT_EQ(loaded.model, artifact.model);
-  EXPECT_EQ(loaded.cross_iteration, artifact.cross_iteration);
-  EXPECT_EQ(loaded.prefetch_depth, artifact.prefetch_depth);
-  EXPECT_EQ(loaded.threads, artifact.threads);
-  EXPECT_EQ(loaded.fault, artifact.fault);
-  ASSERT_EQ(loaded.graph.num_edges(), artifact.graph.num_edges());
-  ASSERT_EQ(loaded.graph.num_vertices(), artifact.graph.num_vertices());
-  for (std::size_t k = 0; k < artifact.graph.num_edges(); ++k) {
-    EXPECT_EQ(loaded.graph.edges()[k].src, artifact.graph.edges()[k].src);
-    EXPECT_EQ(loaded.graph.edges()[k].dst, artifact.graph.edges()[k].dst);
-    // %a hex floats must round-trip bit for bit.
-    EXPECT_EQ(loaded.graph.weights()[k], artifact.graph.weights()[k]);
-  }
+  EXPECT_EQ(loaded.seed, 7u);
+  EXPECT_EQ(loaded.algo, "bfs");
+  EXPECT_EQ(loaded.model, "full");
+  EXPECT_EQ(loaded.prefetch_depth, 1u);
+  EXPECT_EQ(loaded.fault, EngineFault::kNone);
+  EXPECT_EQ(loaded.graph.num_edges(), 2u);
+  const auto replayed =
+      ValueOrDie(ReplayArtifact(loaded, scratch.path() + "/replay"));
+  EXPECT_FALSE(replayed.has_value());
 }
 
 TEST(DifftestArtifact, RejectsMalformedFiles) {
@@ -178,7 +227,6 @@ TEST(DifftestMinimizer, ShrinksFaultRepro) {
   artifact.codec = "none";
   artifact.p = 2;
   artifact.model = "auto";
-  artifact.threads = 1;
   artifact.fault = EngineFault::kDropMaxEdge;
   artifact.graph = graph;
 

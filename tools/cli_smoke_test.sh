@@ -82,17 +82,15 @@ grep -q "GraphSD/ppr" "$WORK/run4"
 # Run lifecycle (DESIGN.md §12): a deadline-cancelled checkpointed run
 # exits 130 (the shell's 128+SIGINT convention) with a partial report, and
 # --resume completes it to values bit-identical to an uninterrupted run.
-# --threads 1 on all three: engine-vs-engine bitwise comparison needs a
-# deterministic float accumulation order.
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --values-out "$WORK/pr_full.txt" > "$WORK/run_full" 2>&1
 RC=0
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$WORK/ck" --deadline-seconds 0.005 \
     > "$WORK/run_killed" 2>&1 || RC=$?
 test "$RC" = "130"
 grep -q "CANCELLED (deadline exceeded)" "$WORK/run_killed"
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$WORK/ck" --resume true \
     --values-out "$WORK/pr_resumed.txt" > "$WORK/run_resumed" 2>&1
 cmp "$WORK/pr_full.txt" "$WORK/pr_resumed.txt"

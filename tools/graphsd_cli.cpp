@@ -280,11 +280,6 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("iterations", "10", "pr: iteration count");
   flags.Define("epsilon", "1e-9", "prd: residual activation threshold");
   flags.Define("root", "0", "sssp/bfs: source vertex");
-  flags.Define("threads", "0", "worker threads (0 = hardware)");
-  flags.Define("compute-threads", "1",
-               "destination-range compute shards per apply pass "
-               "(1 = serial, 0 = match --threads pool; results are "
-               "bit-identical at any value)");
   flags.Define("no-cross-iteration", "false", "disable cross-iteration (b1)");
   flags.Define("no-selective", "false", "disable the on-demand model (b2)");
   flags.Define("no-buffer", "false", "disable the sub-block buffer");
@@ -368,9 +363,6 @@ int CmdRun(int argc, const char* const* argv) {
   core::CancellationToken interrupt_token;
   if (engine_kind == "graphsd") {
     core::EngineOptions options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    options.compute_threads =
-        CheckedCast<std::size_t>(flags.GetInt("compute-threads"));
     options.enable_cross_iteration = !flags.GetBool("no-cross-iteration");
     options.enable_selective = !flags.GetBool("no-selective");
     options.enable_buffering = !flags.GetBool("no-buffer");
@@ -403,15 +395,11 @@ int CmdRun(int argc, const char* const* argv) {
     report = gsd->Run(*program);
     state = gsd->state();
   } else if (engine_kind == "hus") {
-    baselines::HusGraphEngine::Options options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    hus = std::make_unique<baselines::HusGraphEngine>(*dataset, options);
+    hus = std::make_unique<baselines::HusGraphEngine>(*dataset);
     report = hus->Run(*program);
     state = hus->state();
   } else if (engine_kind == "lumos") {
-    baselines::LumosEngine::Options options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    lumos = std::make_unique<baselines::LumosEngine>(*dataset, options);
+    lumos = std::make_unique<baselines::LumosEngine>(*dataset);
     report = lumos->Run(*program);
     state = lumos->state();
   } else {
@@ -505,11 +493,11 @@ int CmdDifftest(int argc, const char* const* argv) {
     if (!scratch.ok()) return Fail(scratch.status());
     auto divergence = testing::ReplayArtifact(*artifact, scratch->path());
     if (!divergence.ok()) return Fail(divergence.status());
-    std::printf("replay %s: algo=%s model=%s p=%u codec=%s threads=%u "
+    std::printf("replay %s: algo=%s model=%s p=%u codec=%s "
                 "cross=%d depth=%u fault=%s (%u vertices, %llu edges)\n",
                 replay.c_str(), artifact->algo.c_str(),
                 artifact->model.c_str(), artifact->p, artifact->codec.c_str(),
-                artifact->threads, artifact->cross_iteration ? 1 : 0,
+                artifact->cross_iteration ? 1 : 0,
                 artifact->prefetch_depth, testing::FaultName(artifact->fault),
                 artifact->graph.num_vertices(),
                 static_cast<unsigned long long>(artifact->graph.num_edges()));
@@ -581,8 +569,6 @@ int CmdServe(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("socket", "/tmp/graphsd.sock", "unix socket path to listen on");
   flags.Define("workers", "2", "concurrent engine runs");
-  flags.Define("engine-threads", "0",
-               "threads inside each engine run (0 = hardware)");
   flags.Define("buffer-mb", "0",
                "shared sub-block buffer per dataset in MiB (0 = 5% of edges)");
   flags.Define("prefetch-depth", "1",
@@ -625,8 +611,6 @@ int CmdServe(int argc, const char* const* argv) {
   options.limits.max_deadline_seconds =
       flags.GetDouble("max-deadline-seconds");
   options.workers = CheckedCast<std::size_t>(flags.GetInt("workers"));
-  options.engine_threads =
-      CheckedCast<std::size_t>(flags.GetInt("engine-threads"));
   options.share_buffer = !flags.GetBool("no-share-buffer");
   options.enable_batching = !flags.GetBool("no-batching");
   options.max_batch = CheckedCast<std::uint32_t>(flags.GetInt("max-batch"));
