@@ -24,6 +24,13 @@ bool Bfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return core::MinU64(&state.array(0)[dst], src_level + 1);
 }
 
+std::uint64_t Bfs::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                              core::ContribSlot slot,
+                              const core::Frontier* guard,
+                              core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double Bfs::ValueOf(const core::VertexState& state, VertexId v) const {
   return static_cast<double>(state.array(0)[v]);
 }

@@ -18,6 +18,9 @@ class Bfs final : public core::PushProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double ValueOf(const core::VertexState& state, VertexId v) const override;
 
   /// Level of `v` after a run; UINT64_MAX when unreached.

@@ -23,6 +23,13 @@ bool ConnectedComponents::Apply(core::VertexState& state, VertexId src,
   return core::MinU64(&state.array(0)[dst], state.contrib(slot)[src]);
 }
 
+std::uint64_t ConnectedComponents::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                              core::ContribSlot slot,
+                                              const core::Frontier* guard,
+                                              core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double ConnectedComponents::ValueOf(const core::VertexState& state,
                                     VertexId v) const {
   return static_cast<double>(state.array(0)[v]);

@@ -23,6 +23,9 @@ class ConnectedComponents final : public core::PushProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double ValueOf(const core::VertexState& state, VertexId v) const override;
 
   /// Component label of `v` after a run.

@@ -51,6 +51,13 @@ bool MultiBfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return activate;
 }
 
+std::uint64_t MultiBfs::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                   core::ContribSlot slot,
+                                   const core::Frontier* guard,
+                                   core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double MultiBfs::LaneValueOf(const core::VertexState& state,
                              std::uint32_t lane, VertexId v) const {
   return static_cast<double>(state.array(lane)[v]);
@@ -97,6 +104,13 @@ bool MultiSssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return activate;
 }
 
+std::uint64_t MultiSssp::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                    core::ContribSlot slot,
+                                    const core::Frontier* guard,
+                                    core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double MultiSssp::LaneValueOf(const core::VertexState& state,
                               std::uint32_t lane, VertexId v) const {
   return SlotToDouble(state.array(lane)[v]);
@@ -139,6 +153,13 @@ bool MultiWidestPath::Apply(core::VertexState& state, VertexId src,
     if (MaxDouble(&state.array(k)[dst], bottleneck)) activate = true;
   }
   return activate;
+}
+
+std::uint64_t MultiWidestPath::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                          core::ContribSlot slot,
+                                          const core::Frontier* guard,
+                                          core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
 }
 
 double MultiWidestPath::LaneValueOf(const core::VertexState& state,
@@ -194,6 +215,13 @@ bool MultiPpr::Apply(core::VertexState& state, VertexId src, VertexId dst,
     if (updated > epsilon_) activate = true;
   }
   return activate;
+}
+
+std::uint64_t MultiPpr::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                   core::ContribSlot slot,
+                                   const core::Frontier* guard,
+                                   core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
 }
 
 double MultiPpr::LaneValueOf(const core::VertexState& state,

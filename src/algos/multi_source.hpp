@@ -67,6 +67,9 @@ class MultiBfs final : public MultiSourceProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
@@ -86,6 +89,9 @@ class MultiSssp final : public MultiSourceProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
@@ -105,6 +111,9 @@ class MultiWidestPath final : public MultiSourceProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
@@ -127,6 +136,9 @@ class MultiPpr final : public MultiSourceProgram {
                         core::ContribSlot slot) const override;
   bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
              core::ContribSlot slot) const override;
+  std::uint64_t ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                           core::ContribSlot slot, const core::Frontier* guard,
+                           core::Frontier& out) const override;
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 

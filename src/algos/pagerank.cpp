@@ -38,6 +38,11 @@ void PageRank::Accumulate(core::VertexState& state, VertexId src, VertexId dst,
   if (share != 0.0) AddDouble(&state.accum(a)[dst], share);
 }
 
+void PageRank::AccumulateEdges(core::VertexState& state, core::EdgeSpan run,
+                               core::ContribSlot c, core::AccumSlot a) const {
+  core::AccumulateEdgesOf(*this, state, run, c, a);
+}
+
 void PageRank::Finalize(core::VertexState& state, VertexId begin, VertexId end,
                         core::AccumSlot a) const {
   auto rank = state.array(0);

@@ -27,6 +27,8 @@ class PageRank final : public core::GatherProgram {
   void Accumulate(core::VertexState& state, VertexId src, VertexId dst,
                   Weight w, core::ContribSlot c,
                   core::AccumSlot a) const override;
+  void AccumulateEdges(core::VertexState& state, core::EdgeSpan run,
+                       core::ContribSlot c, core::AccumSlot a) const override;
   void Finalize(core::VertexState& state, VertexId begin, VertexId end,
                 core::AccumSlot a) const override;
   double ValueOf(const core::VertexState& state, VertexId v) const override;

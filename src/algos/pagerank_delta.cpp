@@ -47,6 +47,13 @@ bool PageRankDelta::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return updated > threshold_;
 }
 
+std::uint64_t PageRankDelta::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                        core::ContribSlot slot,
+                                        const core::Frontier* guard,
+                                        core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double PageRankDelta::ValueOf(const core::VertexState& state,
                               VertexId v) const {
   // Rank plus any unconsumed residual: the value the algorithm would settle

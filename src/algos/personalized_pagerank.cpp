@@ -49,6 +49,13 @@ bool PersonalizedPageRank::Apply(core::VertexState& state, VertexId src,
   return updated > epsilon_;
 }
 
+std::uint64_t PersonalizedPageRank::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                               core::ContribSlot slot,
+                                               const core::Frontier* guard,
+                                               core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double PersonalizedPageRank::ValueOf(const core::VertexState& state,
                                      VertexId v) const {
   return SlotToDouble(state.array(kRank)[v]) +

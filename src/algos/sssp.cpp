@@ -36,6 +36,13 @@ bool Sssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return core::MinDouble(&state.array(0)[dst], candidate);
 }
 
+std::uint64_t Sssp::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                               core::ContribSlot slot,
+                               const core::Frontier* guard,
+                               core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double Sssp::ValueOf(const core::VertexState& state, VertexId v) const {
   return SlotToDouble(state.array(0)[v]);
 }

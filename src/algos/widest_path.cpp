@@ -36,6 +36,13 @@ bool WidestPath::Apply(core::VertexState& state, VertexId src, VertexId dst,
   return core::MaxDouble(&state.array(0)[dst], bottleneck);
 }
 
+std::uint64_t WidestPath::ApplyEdges(core::VertexState& state, core::EdgeSpan run,
+                                     core::ContribSlot slot,
+                                     const core::Frontier* guard,
+                                     core::Frontier& out) const {
+  return core::ApplyEdgesOf(*this, state, run, slot, guard, out);
+}
+
 double WidestPath::ValueOf(const core::VertexState& state, VertexId v) const {
   return SlotToDouble(state.array(0)[v]);
 }

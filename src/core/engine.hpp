@@ -68,11 +68,15 @@ struct EngineOptions {
   std::uint64_t buffer_capacity_bytes = 0;
   /// SCIU edge-retention budget for its cross-iteration step; 0 = same 5 %.
   std::uint64_t memory_budget_bytes = 0;
-  /// Asynchronous prefetch: sub-blocks (FCIU) and coalesced edge runs
-  /// (SCIU) load on a dedicated loader thread up to this many fetch units
-  /// ahead of the applies. 0 = fully synchronous I/O. Results, I/O byte
-  /// counts and buffer hit/miss accounting are identical at any depth.
-  std::size_t prefetch_depth = 1;
+  /// Asynchronous prefetch: sub-blocks (FCIU, semi) and coalesced edge
+  /// runs (SCIU) are read on one loader thread, in plan order, up to this
+  /// many fetch units ahead of the applies, and their compressed frames
+  /// decode on a pool of up to depth − 1 threads (one fewer than the cores;
+  /// none at depth 1, where the loader decodes). 0 = fully synchronous I/O
+  /// and decode. Results, I/O byte counts and buffer hit/miss accounting
+  /// are identical at any depth. The look-ahead holds up to depth decoded
+  /// sub-blocks outside the buffer budget.
+  std::size_t prefetch_depth = 4;
   /// Overlap-aware accounting: charge each loading round max(compute, io)
   /// instead of compute + io, reflecting the pipeline's hiding of disk
   /// time behind compute. Takes effect only when the pipeline can actually

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/skip_summary.hpp"
 #include "core/sub_block_buffer.hpp"
@@ -48,5 +50,48 @@ struct ExecContext {
   /// on raw datasets.
   bool cache_compressed = false;
 };
+
+/// Whole-sub-block prefetch stream (FCIU and semi-external passes).
+using SubBlockStream = io::PrefetchStream<partition::SubBlockPayload>;
+
+/// A stream over an ordered (i, j) plan of whole-sub-block fetches. Each
+/// unit's skip probe is buffer residency; its read runs on the loader and
+/// its frame decode on the pipeline's decode stage, into an edge vector
+/// sized on the issuing thread. In cache-compressed mode the frame stays
+/// undecoded: the consumer needs it for its buffer offer, and decodes it
+/// there.
+inline SubBlockStream MakeSubBlockStream(
+    const ExecContext& ctx,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan,
+    bool need_weights, std::uint32_t iteration) {
+  const partition::GridDataset* dataset = ctx.dataset;
+  const bool decode_stage = dataset->compressed() && !ctx.cache_compressed;
+  std::vector<SubBlockStream::Unit> units;
+  units.reserve(plan.size());
+  for (const auto& [i, j] : plan) {
+    SubBlockStream::Unit unit;
+    unit.skip = [buffer = ctx.buffer, i = i, j = j] {
+      return buffer->Contains(i, j);
+    };
+    unit.fetch = [dataset, i = i, j = j, need_weights, trace = ctx.trace,
+                  iteration](partition::SubBlockPayload& out) {
+      obs::TraceSpan span(trace, "edge-read", iteration);
+      return dataset->FetchSubBlock(i, j, need_weights, out);
+    };
+    if (decode_stage) {
+      unit.prepare = [edges = dataset->manifest().EdgesIn(i, j)](
+                         partition::SubBlockPayload& out) {
+        out.block.edges.reserve(edges);
+      };
+      unit.decode = [dataset, i = i, j = j, trace = ctx.trace,
+                     iteration](partition::SubBlockPayload& out) {
+        obs::TraceSpan span(trace, "decode", iteration);
+        return dataset->DecodeSubBlock(i, j, out);
+      };
+    }
+    units.push_back(std::move(unit));
+  }
+  return SubBlockStream(ctx.prefetch, std::move(units));
+}
 
 }  // namespace graphsd::core

@@ -4,43 +4,6 @@
 
 namespace graphsd::core {
 
-FciuExecutor::SubBlockStream::Unit FciuExecutor::FetchUnit(
-    std::uint32_t i, std::uint32_t j, bool need_weights) const {
-  const partition::GridDataset* dataset = ctx_.dataset;
-  SubBlockBuffer* buffer = ctx_.buffer;
-  // Frame decode runs in the fetch closure: on the prefetch loader thread
-  // (or inline in sync mode), off the consumer's critical path.
-  // Cache-compressed mode keeps the consumer-side decode — the consumer
-  // needs the undecoded frame for its buffer offer.
-  const bool decode_in_fetch =
-      dataset->compressed() && !ctx_.cache_compressed;
-  SubBlockStream::Unit unit;
-  unit.skip = [buffer, i, j] { return buffer->Contains(i, j); };
-  unit.fetch = [dataset, i, j, need_weights, decode_in_fetch,
-                trace = ctx_.trace,
-                iteration = trace_iteration_](partition::SubBlockPayload& out) {
-    {
-      obs::TraceSpan span(trace, "edge-read", iteration);
-      GRAPHSD_ASSIGN_OR_RETURN(out, dataset->FetchSubBlock(i, j, need_weights));
-    }
-    if (decode_in_fetch) {
-      obs::TraceSpan span(trace, "decode", iteration);
-      GRAPHSD_RETURN_IF_ERROR(dataset->DecodeSubBlock(i, j, out));
-    }
-    return Status::Ok();
-  };
-  return unit;
-}
-
-FciuExecutor::SubBlockStream FciuExecutor::MakeStream(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan,
-    bool need_weights) const {
-  std::vector<SubBlockStream::Unit> units;
-  units.reserve(plan.size());
-  for (const auto& [i, j] : plan) units.push_back(FetchUnit(i, j, need_weights));
-  return SubBlockStream(ctx_.prefetch, std::move(units));
-}
-
 Result<FciuExecutor::FetchedBlock> FciuExecutor::Fetch(
     SubBlockStream& stream, std::uint32_t i, std::uint32_t j,
     bool need_weights, partition::SubBlock& local) {
@@ -87,8 +50,8 @@ Result<FciuExecutor::FetchedBlock> FciuExecutor::Fetch(
   if (item.fetched) {
     GRAPHSD_RETURN_IF_ERROR(item.status);
     FetchedBlock fetched;
-    // Decode on the consuming thread — unless the fetch closure already
-    // decoded it (everywhere but cache-compressed mode; the frame is then
+    // Decode on the consuming thread — unless the pipeline's decode stage
+    // already did (everywhere but cache-compressed mode; the frame is then
     // gone).
     if (ctx_.dataset->compressed() && !item.payload.frame.empty()) {
       // Secondary sub-blocks may be offered back as undecoded frames
@@ -110,7 +73,9 @@ Result<FciuExecutor::FetchedBlock> FciuExecutor::Fetch(
   GRAPHSD_ASSIGN_OR_RETURN(local,
                            ctx_.dataset->LoadSubBlock(i, j, need_weights));
   RecordSummary(i, j, local);
-  return FetchedBlock{&local, SubBlockBuffer::Pin()};
+  FetchedBlock fetched;
+  fetched.block = &local;
+  return fetched;
 }
 
 void FciuExecutor::RecordSummary(std::uint32_t i, std::uint32_t j,
@@ -147,7 +112,8 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
     }
   }
-  SubBlockStream stream = MakeStream(plan, need_weights);
+  SubBlockStream stream =
+      MakeSubBlockStream(ctx_, plan, need_weights, trace_iteration_);
   for (std::uint32_t j = 0; j < p; ++j) {
     partition::SubBlock diagonal;  // (j, j) held until the column seals
     bool have_diagonal = false;
@@ -162,19 +128,14 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
 
       // UserFunction pass (iteration t), guarded by the active frontier.
       // Its count of active-source edges is the block's buffer priority.
+      const EdgeSpan edges =
+          EdgesOf(block->edges, block->weights, need_weights);
       std::uint64_t provisional_priority = 0;
       {
         obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ForEachEdge(block->edges, block->weights, need_weights,
-                    [&](const Edge& edge, Weight w) {
-                      if (!active.IsActive(edge.src)) return;
-                      ++provisional_priority;
-                      if (program.Apply(state, edge.src, edge.dst, w,
-                                        ContribSlot::kPrimary)) {
-                        out.Activate(edge.dst);
-                      }
-                    });
+        provisional_priority = program.ApplyEdges(
+            state, edges, ContribSlot::kPrimary, &active, out);
       }
 
       if (two_iterations && i < j) {
@@ -182,14 +143,8 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         // these edges produce iteration t+1 values from the same copy.
         obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ForEachEdge(block->edges, block->weights, need_weights,
-                    [&](const Edge& edge, Weight w) {
-                      if (!out.IsActive(edge.src)) return;
-                      if (program.Apply(state, edge.src, edge.dst, w,
-                                        ContribSlot::kSecondary)) {
-                        out_ni.Activate(edge.dst);
-                      }
-                    });
+        program.ApplyEdges(state, edges, ContribSlot::kSecondary, &out,
+                           out_ni);
       }
 
       if (i == j && two_iterations) {
@@ -232,14 +187,9 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       }
       if (have_diagonal) {
         ScopedWallAccumulator acc(update_seconds);
-        ForEachEdge(diagonal.edges, diagonal.weights, need_weights,
-                    [&](const Edge& edge, Weight w) {
-                      if (!out.IsActive(edge.src)) return;
-                      if (program.Apply(state, edge.src, edge.dst, w,
-                                        ContribSlot::kSecondary)) {
-                        out_ni.Activate(edge.dst);
-                      }
-                    });
+        program.ApplyEdges(
+            state, EdgesOf(diagonal.edges, diagonal.weights, need_weights),
+            ContribSlot::kSecondary, &out, out_ni);
       }
     }
   }
@@ -276,7 +226,8 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
       }
     }
-    SubBlockStream second(MakeStream(plan, need_weights));
+    SubBlockStream second(
+        MakeSubBlockStream(ctx_, plan, need_weights, trace_iteration_));
     for (std::uint32_t i = 1; i < p; ++i) {
       if (out.CountInRange(manifest.boundaries[i], manifest.boundaries[i + 1]) ==
           0) {
@@ -290,14 +241,9 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         const partition::SubBlock* block = fetched.block;
         obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ForEachEdge(block->edges, block->weights, need_weights,
-                    [&](const Edge& edge, Weight w) {
-                      if (!out.IsActive(edge.src)) return;
-                      if (program.Apply(state, edge.src, edge.dst, w,
-                                        ContribSlot::kSecondary)) {
-                        out_ni.Activate(edge.dst);
-                      }
-                    });
+        program.ApplyEdges(
+            state, EdgesOf(block->edges, block->weights, need_weights),
+            ContribSlot::kSecondary, &out, out_ni);
       }
     }
   }
@@ -335,7 +281,8 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
     }
   }
-  SubBlockStream stream = MakeStream(plan, need_weights);
+  SubBlockStream stream =
+      MakeSubBlockStream(ctx_, plan, need_weights, trace_iteration_);
   for (std::uint32_t j = 0; j < p; ++j) {
     partition::SubBlock diagonal;
     bool have_diagonal = false;
@@ -351,19 +298,13 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       {
         obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
         ScopedWallAccumulator acc(update_seconds);
-        ForEachEdge(block->edges, block->weights, need_weights,
-                    [&](const Edge& edge, Weight w) {
-                      program.Accumulate(state, edge.src, edge.dst, w,
-                                         ContribSlot::kPrimary,
-                                         AccumSlot::kA);
-                    });
+        const EdgeSpan edges =
+            EdgesOf(block->edges, block->weights, need_weights);
+        program.AccumulateEdges(state, edges, ContribSlot::kPrimary,
+                                AccumSlot::kA);
         if (two_iterations && i < j) {
-          ForEachEdge(block->edges, block->weights, need_weights,
-                      [&](const Edge& edge, Weight w) {
-                        program.Accumulate(state, edge.src, edge.dst, w,
-                                           ContribSlot::kSecondary,
-                                           AccumSlot::kB);
-                      });
+          program.AccumulateEdges(state, edges, ContribSlot::kSecondary,
+                                  AccumSlot::kB);
         }
       }
 
@@ -400,12 +341,9 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
           program.MakeContribution(state, v, ContribSlot::kSecondary);
         }
         if (have_diagonal) {
-          ForEachEdge(diagonal.edges, diagonal.weights, need_weights,
-                      [&](const Edge& edge, Weight w) {
-                        program.Accumulate(state, edge.src, edge.dst, w,
-                                           ContribSlot::kSecondary,
-                                           AccumSlot::kB);
-                      });
+          program.AccumulateEdges(
+              state, EdgesOf(diagonal.edges, diagonal.weights, need_weights),
+              ContribSlot::kSecondary, AccumSlot::kB);
         }
       }
     }
@@ -423,7 +361,8 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
     }
   }
-  SubBlockStream second(MakeStream(plan, need_weights));
+  SubBlockStream second(
+      MakeSubBlockStream(ctx_, plan, need_weights, trace_iteration_));
   for (std::uint32_t i = 1; i < p; ++i) {
     for (std::uint32_t j = 0; j < i; ++j) {
       if (manifest.EdgesIn(i, j) == 0) continue;
@@ -433,12 +372,9 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
       const partition::SubBlock* block = fetched.block;
       obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
       ScopedWallAccumulator acc(update_seconds);
-      ForEachEdge(block->edges, block->weights, need_weights,
-                  [&](const Edge& edge, Weight w) {
-                    program.Accumulate(state, edge.src, edge.dst, w,
-                                       ContribSlot::kSecondary,
-                                       AccumSlot::kB);
-                  });
+      program.AccumulateEdges(
+          state, EdgesOf(block->edges, block->weights, need_weights),
+          ContribSlot::kSecondary, AccumSlot::kB);
     }
   }
   {

@@ -16,7 +16,8 @@
 //
 // The (j, i) sweep order of each half-round is known before any byte is
 // read, so both halves run off a PrefetchStream: sub-blocks load on the
-// pipeline's loader thread while the previous block's edges are applied.
+// pipeline's loader thread and decode on its decode stage while earlier
+// blocks' edges are applied, one ApplyEdges/AccumulateEdges call per block.
 // Blocks the priority buffer already holds are skipped at issue time
 // (SubBlockBuffer::Contains) and consumed via Get() as before, keeping
 // byte counts and hit/miss accounting identical to the synchronous path.
@@ -57,21 +58,6 @@ class FciuExecutor {
                         double* update_seconds);
 
  private:
-  // The stream carries fetched-but-undecoded payloads: the loader thread
-  // only does I/O (FetchSubBlock); compressed frames decode on the
-  // consuming thread in Fetch(), charging decode to compute.
-  using SubBlockStream = io::PrefetchStream<partition::SubBlockPayload>;
-
-  /// One planned fetch of sub-block (i, j): skip probe = buffer residency,
-  /// fetch = FetchSubBlock. Runs inline when the pipeline is disabled.
-  SubBlockStream::Unit FetchUnit(std::uint32_t i, std::uint32_t j,
-                                 bool need_weights) const;
-
-  /// Opens a stream over an ordered (i, j) plan.
-  SubBlockStream MakeStream(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan,
-      bool need_weights) const;
-
   /// A consumed sub-block: `block` points either into the shared buffer
   /// (then `pin` keeps the entry alive for the lifetime of this struct,
   /// even under concurrent Puts from other runs) or at the caller's local

@@ -18,10 +18,15 @@
 // property that makes cross-iteration value computation exact under BSP
 // semantics.
 //
-// Apply order: every executor calls `Apply` and `Accumulate` on the engine
-// thread, one edge at a time, in file order (ForEachEdge below), so a
-// combine is a plain read-modify-write of dst's slot (core/slot.hpp) and
-// results are bit-identical run to run, float reductions included.
+// Apply order: every executor applies edges on the engine thread, in file
+// order, through one virtual call per sub-block or edge run —
+// PushProgram::ApplyEdges / GatherProgram::AccumulateEdges. Their loops are
+// written once below (ApplyEdgesOf, AccumulateEdgesOf), as templates over
+// the concrete program, so each program's per-edge `Apply`/`Accumulate`
+// inlines into them. A combine is a plain read-modify-write of dst's slot
+// (core/slot.hpp), and results are bit-identical run to run, float
+// reductions included: the kernel visits exactly the edges, in exactly the
+// order, the per-edge calls would.
 #pragma once
 
 #include <cstddef>
@@ -37,20 +42,70 @@ namespace graphsd::core {
 
 enum class ProgramKind { kPush, kGather };
 
-/// Calls `fn(edge, weight)` for every edge in file order — the executors'
-/// one apply loop. `weights` is aligned with `edges` when `need_weights`;
-/// otherwise every weight is 1.
-template <typename Fn>
-void ForEachEdge(const std::vector<Edge>& edges,
-                 const std::vector<Weight>& weights, bool need_weights,
-                 Fn&& fn) {
-  // Raw pointers and a hoisted count: `fn` is opaque (a virtual Apply), so
-  // the vectors' bounds would otherwise be reloaded for every edge.
-  const Edge* edge = edges.data();
-  const Weight* weight = weights.data();
-  const std::size_t count = edges.size();
-  for (std::size_t k = 0; k < count; ++k) {
-    fn(edge[k], need_weights ? weight[k] : Weight{1});
+/// A run of edges in file order. `weights` is aligned with `edges`, or null
+/// when the program reads no weights (every weight is then 1).
+struct EdgeSpan {
+  const Edge* edges = nullptr;
+  const Weight* weights = nullptr;
+  std::size_t count = 0;
+};
+
+/// The edges of `edges`, with `weights` attached when `need_weights`.
+inline EdgeSpan EdgesOf(const std::vector<Edge>& edges,
+                        const std::vector<Weight>& weights,
+                        bool need_weights) {
+  return {edges.data(), need_weights ? weights.data() : nullptr,
+          edges.size()};
+}
+
+/// The push kernel: `program.Apply` for every edge of `run` whose source is
+/// active in `guard` (null: every edge), activating dst in `out` when Apply
+/// asks to. Returns the number of edges that passed the guard. `P` is the
+/// concrete (final) program, so Apply resolves statically and inlines.
+template <typename P>
+std::uint64_t ApplyEdgesOf(const P& program, VertexState& state, EdgeSpan run,
+                           ContribSlot slot, const Frontier* guard,
+                           Frontier& out) {
+  // One loop body, specialized on guard and weights so neither is tested
+  // per edge.
+  const auto loop = [&]<bool kGuarded, bool kWeighted>() {
+    std::uint64_t guarded = 0;
+    for (std::size_t k = 0; k < run.count; ++k) {
+      const Edge& edge = run.edges[k];
+      if constexpr (kGuarded) {
+        if (!guard->IsActive(edge.src)) continue;
+      }
+      ++guarded;
+      const Weight w = kWeighted ? run.weights[k] : Weight{1};
+      if (program.Apply(state, edge.src, edge.dst, w, slot)) {
+        out.Activate(edge.dst);
+      }
+    }
+    return guarded;
+  };
+  if (guard != nullptr) {
+    return run.weights != nullptr ? loop.template operator()<true, true>()
+                                  : loop.template operator()<true, false>();
+  }
+  return run.weights != nullptr ? loop.template operator()<false, true>()
+                                : loop.template operator()<false, false>();
+}
+
+/// The gather kernel: `program.Accumulate(c → a)` for every edge of `run`.
+template <typename P>
+void AccumulateEdgesOf(const P& program, VertexState& state, EdgeSpan run,
+                       ContribSlot c, AccumSlot a) {
+  const auto loop = [&]<bool kWeighted>() {
+    for (std::size_t k = 0; k < run.count; ++k) {
+      const Edge& edge = run.edges[k];
+      program.Accumulate(state, edge.src, edge.dst,
+                         kWeighted ? run.weights[k] : Weight{1}, c, a);
+    }
+  };
+  if (run.weights != nullptr) {
+    loop.template operator()<true>();
+  } else {
+    loop.template operator()<false>();
   }
 }
 
@@ -112,6 +167,17 @@ class PushProgram : public Program {
   /// Returns true iff dst must be (re)activated for the following iteration.
   virtual bool Apply(VertexState& state, VertexId src, VertexId dst, Weight w,
                      ContribSlot slot) const = 0;
+
+  /// Applies a run of edges (ApplyEdgesOf): the executors' one call per
+  /// sub-block or edge run. Returns the number of edges whose source passed
+  /// `guard`. Concrete programs override it with ApplyEdgesOf(*this, ...)
+  /// so `Apply` inlines; this default calls the virtual `Apply` per edge
+  /// (wrappers that intercept `Apply` keep working unchanged).
+  virtual std::uint64_t ApplyEdges(VertexState& state, EdgeSpan run,
+                                   ContribSlot slot, const Frontier* guard,
+                                   Frontier& out) const {
+    return ApplyEdgesOf(*this, state, run, slot, guard, out);
+  }
 };
 
 class GatherProgram : public Program {
@@ -129,6 +195,13 @@ class GatherProgram : public Program {
   /// accum(a)[dst] += contribution(c)[src].
   virtual void Accumulate(VertexState& state, VertexId src, VertexId dst,
                           Weight w, ContribSlot c, AccumSlot a) const = 0;
+
+  /// Accumulates a run of edges (AccumulateEdgesOf). Overridden like
+  /// PushProgram::ApplyEdges; the default calls `Accumulate` per edge.
+  virtual void AccumulateEdges(VertexState& state, EdgeSpan run,
+                               ContribSlot c, AccumSlot a) const {
+    AccumulateEdgesOf(*this, state, run, c, a);
+  }
 
   /// Commits accum(a) into the value array for vertices [begin, end).
   virtual void Finalize(VertexState& state, VertexId begin, VertexId end,

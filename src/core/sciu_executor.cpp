@@ -143,13 +143,13 @@ Status SciuExecutor::FetchPass(std::uint32_t i, std::uint32_t j,
       out.runs.emplace_back(run_begin, run_end);
     }
     if (!out.runs.empty() && !resident) {
-      // The whole frame streams sequentially; decode happens on the
-      // consumer thread so the loader stays an I/O-only stage.
+      // The whole frame streams sequentially; the decode stage decodes it
+      // into an edge vector sized here, so decode threads own no memory.
       obs::TraceSpan span(ctx_.trace, "edge-read", trace_iteration_);
-      GRAPHSD_ASSIGN_OR_RETURN(
-          partition::SubBlockPayload fetched,
-          dataset.FetchSubBlock(i, j, /*load_weights=*/false));
-      out.frame = std::move(fetched.frame);
+      out.whole.block.edges.reserve(manifest.EdgesIn(i, j));
+      GRAPHSD_RETURN_IF_ERROR(dataset.FetchSubBlock(
+          i, j, /*load_weights=*/false, out.whole));
+      out.whole_read = true;
     }
     return Status::Ok();
   }
@@ -177,7 +177,7 @@ Status SciuExecutor::MaterializeCompressedPass(std::uint32_t i, std::uint32_t j,
   SubBlockBuffer::Pin cached;
   partition::SubBlockPayload decoded;
   bool resident = false;  // the buffer already holds this sub-block
-  if (payload.frame.empty()) {
+  if (!payload.whole_read) {
     // Resident at issue time: consume through the buffer. A miss means the
     // entry was evicted between issue and consume — fall back to the same
     // accounted frame read the loader would have performed. The pin keeps
@@ -199,16 +199,14 @@ Status SciuExecutor::MaterializeCompressedPass(std::uint32_t i, std::uint32_t j,
       }
     }
   } else {
-    decoded.frame = std::move(payload.frame);
-    decoded.block.disk_bytes = decoded.frame.size();
+    // Decoded by the decode stage, except in cache-compressed mode.
+    decoded = std::move(payload.whole);
   }
   std::vector<std::uint8_t> frame_copy;
-  if (!cached) {
+  if (!cached && !decoded.frame.empty()) {
     // In cache-compressed mode a freshly fetched frame is offered back
     // undecoded below; keep a copy before decode releases it.
-    if (ctx_.cache_compressed && !resident && !decoded.frame.empty()) {
-      frame_copy = decoded.frame;
-    }
+    if (ctx_.cache_compressed && !resident) frame_copy = decoded.frame;
     obs::TraceSpan span(ctx_.trace, "decode", trace_iteration_);
     GRAPHSD_RETURN_IF_ERROR(dataset.DecodeSubBlock(i, j, decoded));
   }
@@ -332,6 +330,13 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
                       resident](SciuPassPayload& out) {
           return FetchPass(i, j, *actives, need_weights, *resident, out);
         };
+        if (!ctx_.cache_compressed) {
+          unit.decode = [this, i, j](SciuPassPayload& out) {
+            if (out.whole.frame.empty()) return Status::Ok();
+            obs::TraceSpan span(ctx_.trace, "decode", trace_iteration_);
+            return ctx_.dataset->DecodeSubBlock(i, j, out.whole);
+          };
+        }
       } else {
         // `intervals` is fully sized up front, so the pointer stays valid.
         unit.fetch = [this, i, j, actives = &ia,
@@ -363,13 +368,9 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       // the compressed materialize rebases), so one loop over the whole
       // payload visits every edge in run order.
       ScopedWallAccumulator acc(update_seconds);
-      ForEachEdge(payload.edges, payload.weights, need_weights,
-                  [&](const Edge& edge, Weight w) {
-                    if (program.Apply(state, edge.src, edge.dst, w,
-                                      ContribSlot::kPrimary)) {
-                      out.Activate(edge.dst);
-                    }
-                  });
+      program.ApplyEdges(
+          state, EdgesOf(payload.edges, payload.weights, need_weights),
+          ContribSlot::kPrimary, /*guard=*/nullptr, out);
     }
     if (retain) {
       arena_edges.insert(arena_edges.end(), payload.edges.begin(),
@@ -402,14 +403,9 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
         program.MakeContribution(state, static_cast<VertexId>(v),
                                  ContribSlot::kSecondary);
       });
-      ForEachEdge(arena_edges, arena_weights, need_weights,
-                  [&](const Edge& edge, Weight w) {
-                    if (!qualifying.IsActive(edge.src)) return;
-                    if (program.Apply(state, edge.src, edge.dst, w,
-                                      ContribSlot::kSecondary)) {
-                      out_ni.Activate(edge.dst);
-                    }
-                  });
+      program.ApplyEdges(state,
+                         EdgesOf(arena_edges, arena_weights, need_weights),
+                         ContribSlot::kSecondary, &qualifying, out_ni);
       qualifying.ForEachActive(
           [&](std::size_t v) { out.Deactivate(static_cast<VertexId>(v)); });
     }

@@ -19,7 +19,8 @@
 // edge runs get read, in what order — depends only on the (const) active
 // frontier and the offsets those reads return, never on applied values. It
 // is therefore computed up front and executed pass-by-pass on the prefetch
-// pipeline's loader thread, overlapping ranged reads with edge application.
+// pipeline's loader thread, overlapping ranged reads (and, on compressed
+// datasets, whole-frame decodes on the decode stage) with edge application.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +44,18 @@ namespace graphsd::core {
 /// Compressed datasets cannot range-read the edge file (the CSR index
 /// addresses decoded offsets, the file holds a GSDF frame), so the loader
 /// leaves `edges` empty, keeps `runs` in decoded-block coordinates, reads
-/// the weight ranges as usual (the weight file stays raw), and ships the
-/// whole frame — unless the decoded block was buffer-resident at issue
-/// time, in which case `frame` stays empty too. The consumer decodes,
-/// copies the active runs into `edges`, and rebases `runs` in place.
+/// the weight ranges as usual (the weight file stays raw), and reads the
+/// whole frame into `whole` — unless the decoded block was buffer-resident
+/// at issue time (`whole_read` stays false). The pipeline's decode stage
+/// decodes `whole` (cache-compressed mode leaves that to the consumer, which
+/// needs the frame for its buffer offer); the consumer copies the active
+/// runs into `edges` and rebases `runs` in place.
 struct SciuPassPayload {
   std::vector<Edge> edges;
   std::vector<Weight> weights;
   std::vector<std::pair<std::size_t, std::size_t>> runs;
-  std::vector<std::uint8_t> frame;
+  partition::SubBlockPayload whole;
+  bool whole_read = false;
 };
 
 class SciuExecutor {
@@ -96,9 +100,10 @@ class SciuExecutor {
                    bool resident, SciuPassPayload& out);
 
   /// Compressed-pass compute half, on the consumer thread: obtains the
-  /// decoded block (decoding `payload.frame`, or through the buffer when
-  /// the frame was elided — with a synchronous re-read if the entry was
-  /// evicted between issue and consume), copies the active runs into
+  /// decoded block (`payload.whole`, decoding it here in cache-compressed
+  /// mode, or through the buffer when the frame was elided — with a
+  /// synchronous re-read if the entry was evicted between issue and
+  /// consume), copies the active runs into
   /// `payload.edges` rebasing `runs`, and offers the decoded block to the
   /// buffer with priority = this pass's active edge count.
   Status MaterializeCompressedPass(std::uint32_t i, std::uint32_t j,

@@ -65,36 +65,8 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
     }
   }
 
-  std::vector<SubBlockStream::Unit> units;
-  units.reserve(plan.size());
-  for (const auto& [i, j] : plan) {
-    SubBlockStream::Unit unit;
-    unit.skip = [buffer = ctx_.buffer, i = i, j = j] {
-      return buffer->Contains(i, j);
-    };
-    // Frame decode runs in the fetch closure (loader thread, or inline in
-    // sync mode) — except in cache-compressed mode, where the consumer
-    // needs the undecoded frame for its buffer offer.
-    const bool decode_in_fetch =
-        dataset.compressed() && !ctx_.cache_compressed;
-    unit.fetch = [&dataset, i = i, j = j, need_weights, decode_in_fetch,
-                  trace = ctx_.trace,
-                  iteration =
-                      trace_iteration_](partition::SubBlockPayload& fetched) {
-      {
-        obs::TraceSpan span(trace, "edge-read", iteration);
-        GRAPHSD_ASSIGN_OR_RETURN(fetched,
-                                 dataset.FetchSubBlock(i, j, need_weights));
-      }
-      if (decode_in_fetch) {
-        obs::TraceSpan span(trace, "decode", iteration);
-        GRAPHSD_RETURN_IF_ERROR(dataset.DecodeSubBlock(i, j, fetched));
-      }
-      return Status::Ok();
-    };
-    units.push_back(std::move(unit));
-  }
-  SubBlockStream stream(ctx_.prefetch, std::move(units));
+  SubBlockStream stream =
+      MakeSubBlockStream(ctx_, plan, need_weights, trace_iteration_);
 
   for (const auto& [i, j] : plan) {
     if (ctx_.cancel != nullptr) {
@@ -129,7 +101,7 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
       }
     } else if (item.fetched) {
       GRAPHSD_RETURN_IF_ERROR(item.status);
-      // An empty frame means the fetch closure already decoded (or the
+      // An empty frame means the decode stage already decoded (or the
       // dataset is raw) — nothing left for the consumer side.
       if (dataset.compressed() && !item.payload.frame.empty()) {
         if (ctx_.cache_compressed && !item.payload.frame.empty()) {
@@ -154,15 +126,9 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
     {
       obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
       ScopedWallAccumulator acc(update_seconds);
-      ForEachEdge(block->edges, block->weights, need_weights,
-                  [&](const Edge& edge, Weight w) {
-                    if (!active.IsActive(edge.src)) return;
-                    ++applied;
-                    if (program.Apply(state, edge.src, edge.dst, w,
-                                      ContribSlot::kPrimary)) {
-                      out.Activate(edge.dst);
-                    }
-                  });
+      applied = program.ApplyEdges(
+          state, EdgesOf(block->edges, block->weights, need_weights),
+          ContribSlot::kPrimary, &active, out);
     }
 
     // Offer the block for future rounds: in semi mode every sub-block is a

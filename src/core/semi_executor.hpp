@@ -49,8 +49,6 @@ class SemiExecutor {
                       double* update_seconds);
 
  private:
-  using SubBlockStream = io::PrefetchStream<partition::SubBlockPayload>;
-
   ExecContext ctx_;
   std::uint32_t trace_iteration_ = 0;
 };

@@ -1,11 +1,14 @@
-// Bounded in-flight queue of asynchronous read tasks.
+// Bounded in-flight queue of asynchronous read tasks: the reader stage of
+// the prefetch pipeline (io/prefetch.hpp).
 //
 // A ReadQueue admits at most `depth` Status-returning tasks onto a
 // caller-supplied ThreadPool at once; Submit blocks when the window is
-// full. Tickets are redeemed in any order, but the intended use (the
-// prefetch pipeline, io/prefetch.hpp) submits and waits strictly FIFO,
-// which is what keeps prefetched execution bit-identical to the
-// synchronous path.
+// full. Tickets are redeemed in any order, but the prefetch pipeline
+// submits and waits strictly FIFO on a single-worker pool — one reader
+// thread — which is what keeps prefetched execution bit-identical to the
+// synchronous path. A task counts as in flight until it returns; the
+// pipeline's decode stage runs after that, on its own threads, so decodes
+// never hold a read slot and a decode failure never reaches this queue.
 //
 // Error semantics mirror synchronous code: once any task has returned a
 // non-OK Status, tasks submitted after it are never executed — their
@@ -13,10 +16,9 @@
 // would never have issued reads past its first failure. The poison is
 // scoped to the outstanding batch: once every submitted ticket has been
 // resolved, the next Submit starts clean (a failed round must not poison
-// the rounds after it). With a
-// single-worker pool (the loader configuration) tasks execute strictly in
-// submission order, so the set of reads actually performed — including
-// retries, which run on the loader thread inside Device::RunWithRetry —
+// the rounds after it). With a single-worker pool tasks execute strictly
+// in submission order, so the set of reads actually performed — including
+// retries, which run on the reader thread inside Device::RunWithRetry —
 // matches the synchronous path even under injected faults.
 #pragma once
 

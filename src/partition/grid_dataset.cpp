@@ -218,11 +218,18 @@ Result<SubBlock> GridDataset::LoadSubBlock(std::uint32_t i, std::uint32_t j,
 Result<SubBlockPayload> GridDataset::FetchSubBlock(std::uint32_t i,
                                                    std::uint32_t j,
                                                    bool load_weights) const {
-  GRAPHSD_CHECK(i < p() && j < p());
   SubBlockPayload payload;
+  GRAPHSD_RETURN_IF_ERROR(FetchSubBlock(i, j, load_weights, payload));
+  return payload;
+}
+
+Status GridDataset::FetchSubBlock(std::uint32_t i, std::uint32_t j,
+                                  bool load_weights,
+                                  SubBlockPayload& payload) const {
+  GRAPHSD_CHECK(i < p() && j < p());
   SubBlock& block = payload.block;
   const std::uint64_t count = manifest_.EdgesIn(i, j);
-  if (count == 0 && !compressed()) return payload;
+  if (count == 0 && !compressed()) return Status::Ok();
 
   {
     GRAPHSD_ASSIGN_OR_RETURN(
@@ -266,7 +273,7 @@ Result<SubBlockPayload> GridDataset::FetchSubBlock(std::uint32_t i,
     }
     block.disk_bytes += count * kWeightBytes;
   }
-  return payload;
+  return Status::Ok();
 }
 
 Status GridDataset::DecodeSubBlock(std::uint32_t i, std::uint32_t j,

@@ -150,6 +150,12 @@ class GridDataset {
   Result<SubBlockPayload> FetchSubBlock(std::uint32_t i, std::uint32_t j,
                                         bool load_weights) const;
 
+  /// FetchSubBlock into a caller-owned, empty `payload`. Capacity already
+  /// reserved in `payload.block.edges` is kept for the decode to fill, so
+  /// the thread that reserved it owns that memory, not the reading thread.
+  Status FetchSubBlock(std::uint32_t i, std::uint32_t j, bool load_weights,
+                       SubBlockPayload& payload) const;
+
   /// Compute half: decodes `payload.frame` (if any) into `payload.block`
   /// and releases the frame bytes. No-op for raw datasets. A decoded edge
   /// count that disagrees with the manifest yields kCorruptData.

@@ -323,7 +323,9 @@ TEST_F(EngineLifecycleTest, ConcurrentCancellationDuringBufferedPrefetch) {
     const auto report = ValueOrDie(engine.Run(pr));
     killer.join();
     EXPECT_LE(report.iterations, 50u);
-    if (!report.cancelled) EXPECT_EQ(report.iterations, 50u);
+    if (!report.cancelled) {
+      EXPECT_EQ(report.iterations, 50u);
+    }
   }
 }
 

@@ -1,20 +1,23 @@
-// TSan smoke for the compute that still runs on two threads: with a
-// prefetch pipeline, FCIU and semi-external passes decode GSDF frames on
-// the loader thread while the engine thread applies earlier sub-blocks, and
-// SCIU's loader issues ranged reads while the engine thread decodes and
-// applies. Each executor — SCIU (on-demand), FCIU (full streaming),
-// semi-external and the gather path — runs on a varint-delta dataset with
-// prefetch depth 4 and must reproduce the synchronous (depth 0) run
-// bitwise: SSSP (min push), PageRank-Delta (sum push) and PageRank
-// (gather). Registered in tests/CMakeLists.txt as
-// tsan_parallel_compute_smoke so the thread-sanitized CI tier covers the
-// loader/apply hand-off without paying for the full suite.
+// TSan smoke for the work that runs beside the engine thread: with a
+// prefetch pipeline, FCIU, semi-external and SCIU's compressed passes read
+// on the loader thread and decode GSDF frames on the decode pool while the
+// engine thread applies earlier units. Each executor — SCIU (on-demand),
+// FCIU (full streaming), semi-external and the gather path — runs on a
+// varint-delta dataset with prefetch depth 4 and must reproduce the
+// synchronous (depth 0) run bitwise: SSSP (min push), PageRank-Delta (sum
+// push) and PageRank (gather). Depth 4 runs once with the pipeline the
+// engine sizes for this host and once through a shared pipeline whose
+// decode pool is pinned to three threads, so the pool is exercised on any
+// host. Registered in tests/CMakeLists.txt as tsan_parallel_compute_smoke
+// so the thread-sanitized CI tier covers the hand-off without paying for
+// the full suite.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
+#include "io/prefetch.hpp"
 
 namespace graphsd {
 namespace {
@@ -27,6 +30,7 @@ using testing::ValueOrDie;
 
 constexpr std::uint32_t kIntervals = 4;
 constexpr std::size_t kPrefetchDepth = 4;
+constexpr std::size_t kDecodeThreads = 3;
 
 class ParallelComputeSmoke : public ::testing::Test {
  protected:
@@ -43,9 +47,11 @@ class ParallelComputeSmoke : public ::testing::Test {
   // model pinned to `forced`.
   template <typename MakeProgram>
   std::vector<double> RunWith(MakeProgram make, core::RoundModelChoice forced,
-                              std::size_t depth) {
+                              std::size_t depth,
+                              io::PrefetchPipeline* shared = nullptr) {
     core::EngineOptions options;
     options.prefetch_depth = depth;
+    options.shared_prefetch = shared;
     options.semi_external = forced == core::RoundModelChoice::kSemi;
     options.model_override = [forced](std::uint32_t) { return forced; };
     core::GraphSDEngine engine(*t_.dataset, options);
@@ -58,11 +64,16 @@ class ParallelComputeSmoke : public ::testing::Test {
   void ExpectPrefetchedBitIdentical(MakeProgram make,
                                     core::RoundModelChoice forced) {
     const std::vector<double> sync = RunWith(make, forced, 0);
-    const std::vector<double> prefetched =
-        RunWith(make, forced, kPrefetchDepth);
-    ASSERT_EQ(prefetched.size(), sync.size());
-    for (std::size_t v = 0; v < prefetched.size(); ++v) {
-      ASSERT_EQ(prefetched[v], sync[v]) << "vertex " << v;
+    io::PrefetchPipeline pinned(kPrefetchDepth, kDecodeThreads);
+    io::PrefetchPipeline* const pipelines[] = {nullptr, &pinned};
+    for (io::PrefetchPipeline* shared : pipelines) {
+      const std::vector<double> prefetched =
+          RunWith(make, forced, kPrefetchDepth, shared);
+      ASSERT_EQ(prefetched.size(), sync.size());
+      for (std::size_t v = 0; v < prefetched.size(); ++v) {
+        ASSERT_EQ(prefetched[v], sync[v])
+            << "vertex " << v << (shared != nullptr ? " (pinned pool)" : "");
+      }
     }
   }
 

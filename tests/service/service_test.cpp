@@ -380,7 +380,9 @@ TEST(ServiceTest, ShutdownDrainsInFlightQueries) {
     ASSERT_TRUE(response.GetBool("ok")) << line;
     const std::uint64_t exit_code = response.GetUint("exit_code", 99);
     EXPECT_TRUE(exit_code == 0 || exit_code == 130) << line;
-    if (response.GetBool("cancelled")) EXPECT_EQ(exit_code, 130u);
+    if (response.GetBool("cancelled")) {
+      EXPECT_EQ(exit_code, 130u);
+    }
   }
 
   server.Wait();  // must return: the token is tripped

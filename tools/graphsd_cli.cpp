@@ -289,7 +289,8 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("cache-compressed", "false",
                "cache compressed GSDF frames in the sub-block buffer "
                "(decode-on-hit; no effect on raw datasets)");
-  flags.Define("prefetch-depth", "1",
+  flags.Define("prefetch-depth",
+               std::to_string(core::EngineOptions{}.prefetch_depth),
                "async read look-ahead in fetch units (0 = synchronous I/O)");
   flags.Define("no-overlap-io", "false",
                "charge compute + io serially instead of max(compute, io)");
