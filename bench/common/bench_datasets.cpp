@@ -213,7 +213,7 @@ core::ExecutionReport RunOn(io::Device& device, const std::string& dir,
   Result<core::ExecutionReport> report = InternalError("unreachable");
   switch (system) {
     case System::kGraphSD: {
-      core::GraphSDEngine engine(*dataset, {});
+      core::GraphSDEngine engine(*dataset, core::PaperEngineOptions());
       report = engine.Run(*program);
       break;
     }

@@ -61,9 +61,11 @@ int main() {
     sized.sym_dir = root + "/sym";
     sized.raw_path = base.raw_path;
 
-    const auto pr = RunGraphSD(*device, sized, Algo::kPr, {});
-    const auto cc = RunGraphSD(*device, sized, Algo::kCc, {});
-    const auto sssp = RunGraphSD(*device, sized, Algo::kSssp, {});
+    const graphsd::core::EngineOptions paper =
+        graphsd::core::PaperEngineOptions();
+    const auto pr = RunGraphSD(*device, sized, Algo::kPr, paper);
+    const auto cc = RunGraphSD(*device, sized, Algo::kCc, paper);
+    const auto sssp = RunGraphSD(*device, sized, Algo::kSssp, paper);
     table.AddRow({std::to_string(p),
                   Fmt(preprocess->io_seconds + preprocess->wall_seconds),
                   Fmt(pr.TotalSeconds()), Fmt(cc.TotalSeconds()),

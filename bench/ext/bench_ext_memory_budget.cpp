@@ -29,7 +29,7 @@ int main() {
                       "CC saved"});
   double previous_pr = 0;
   for (const double percent : {0.0, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0}) {
-    graphsd::core::EngineOptions options;
+    graphsd::core::EngineOptions options = graphsd::core::PaperEngineOptions();
     options.enable_buffering = percent > 0;
     options.buffer_capacity_bytes =
         static_cast<std::uint64_t>(edge_bytes * percent / 100.0);

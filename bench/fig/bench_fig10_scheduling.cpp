@@ -56,10 +56,10 @@ int main() {
   auto device = MakeBenchDevice();
   const PreparedDataset dataset = Prepare(*device, Specs()[3]);  // ukunion
 
-  graphsd::core::EngineOptions adaptive;
-  graphsd::core::EngineOptions b3;
+  graphsd::core::EngineOptions adaptive = graphsd::core::PaperEngineOptions();
+  graphsd::core::EngineOptions b3 = graphsd::core::PaperEngineOptions();
   b3.enable_selective = false;  // always the full I/O model
-  graphsd::core::EngineOptions b4;
+  graphsd::core::EngineOptions b4 = graphsd::core::PaperEngineOptions();
   b4.force_on_demand = true;  // always the on-demand model
 
   const auto r_adaptive = RunGraphSD(*device, dataset, Algo::kCc, adaptive);

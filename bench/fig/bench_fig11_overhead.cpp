@@ -24,8 +24,8 @@ int main() {
   // Reduced I/O = what the always-full engine pays minus what the adaptive
   // engine pays (the scheduler's contribution is choosing on-demand when it
   // wins).
-  graphsd::core::EngineOptions adaptive;
-  graphsd::core::EngineOptions b3;
+  graphsd::core::EngineOptions adaptive = graphsd::core::PaperEngineOptions();
+  graphsd::core::EngineOptions b3 = graphsd::core::PaperEngineOptions();
   b3.enable_selective = false;
 
   for (const Algo algo : {Algo::kPrDelta, Algo::kCc, Algo::kSssp}) {

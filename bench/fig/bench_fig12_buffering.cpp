@@ -21,8 +21,8 @@ int main() {
 
   TablePrinter table({"Algo", "WithBuffer(s)", "NoBuffer(s)", "Improvement",
                       "BufferHits", "BytesSaved"});
-  graphsd::core::EngineOptions with;
-  graphsd::core::EngineOptions without;
+  graphsd::core::EngineOptions with = graphsd::core::PaperEngineOptions();
+  graphsd::core::EngineOptions without = graphsd::core::PaperEngineOptions();
   without.enable_buffering = false;
 
   double best = 0;

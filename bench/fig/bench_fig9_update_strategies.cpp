@@ -23,10 +23,12 @@ int main() {
   auto device = MakeBenchDevice();
   const PreparedDataset dataset = Prepare(*device, Specs()[0]);
 
-  graphsd::core::EngineOptions full;
-  graphsd::core::EngineOptions b1;  // cross-iteration disabled
+  graphsd::core::EngineOptions full = graphsd::core::PaperEngineOptions();
+  // b1: cross-iteration disabled.
+  graphsd::core::EngineOptions b1 = graphsd::core::PaperEngineOptions();
   b1.enable_cross_iteration = false;
-  graphsd::core::EngineOptions b2;  // selective disabled
+  // b2: selective disabled.
+  graphsd::core::EngineOptions b2 = graphsd::core::PaperEngineOptions();
   b2.enable_selective = false;
 
   TablePrinter time_table(

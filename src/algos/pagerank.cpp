@@ -43,6 +43,11 @@ void PageRank::AccumulateEdges(core::VertexState& state, core::EdgeSpan run,
   core::AccumulateEdgesOf(*this, state, run, c, a);
 }
 
+void PageRank::AccumulateEdgesBoth(core::VertexState& state,
+                                   core::EdgeSpan run) const {
+  core::AccumulateEdgesBothOf(*this, state, run);
+}
+
 void PageRank::Finalize(core::VertexState& state, VertexId begin, VertexId end,
                         core::AccumSlot a) const {
   auto rank = state.array(0);

@@ -29,6 +29,8 @@ class PageRank final : public core::GatherProgram {
                   core::AccumSlot a) const override;
   void AccumulateEdges(core::VertexState& state, core::EdgeSpan run,
                        core::ContribSlot c, core::AccumSlot a) const override;
+  void AccumulateEdgesBoth(core::VertexState& state,
+                           core::EdgeSpan run) const override;
   void Finalize(core::VertexState& state, VertexId begin, VertexId end,
                 core::AccumSlot a) const override;
   double ValueOf(const core::VertexState& state, VertexId v) const override;

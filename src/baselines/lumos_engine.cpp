@@ -4,7 +4,7 @@ namespace graphsd::baselines {
 namespace {
 
 core::EngineOptions ToEngineOptions(const LumosEngine::Options& options) {
-  core::EngineOptions out;
+  core::EngineOptions out = core::PaperEngineOptions();
   out.max_iterations = options.max_iterations;
   out.record_per_round = options.record_per_round;
   out.scratch_dir = options.scratch_dir;

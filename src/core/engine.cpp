@@ -63,6 +63,133 @@ class RoundAccounting {
   WallTimer wall_;
 };
 
+/// Device I/O a run does outside every round's accounting window.
+struct OutsideRoundIo {
+  io::IoStatsSnapshot io;
+  double seconds = 0;
+};
+
+/// Runs `work` and measures the device I/O it does.
+template <typename F>
+OutsideRoundIo MeasureIo(const io::Device& device, F&& work) {
+  const io::IoStatsSnapshot io_before = device.stats().Snapshot();
+  const double clock_before = device.clock().Seconds();
+  work();
+  return {device.stats().Snapshot() - io_before,
+          device.clock().Seconds() - clock_before};
+}
+
+/// Folds `charge` into the report and into `round` (null when rounds are not
+/// recorded), so the report's totals stay the sums of its rounds. Charged
+/// serially: nothing overlaps it.
+void ChargeToRound(const OutsideRoundIo& charge, ExecutionReport& report,
+                   RoundStat* round) {
+  report.io += charge.io;
+  report.io_seconds += charge.seconds;
+  report.overlapped_seconds += charge.seconds;
+  if (round == nullptr) return;
+  round->io_seconds += charge.seconds;
+  round->overlapped_seconds += charge.seconds;
+  round->read_bytes += charge.io.TotalReadBytes();
+  round->write_bytes += charge.io.TotalWriteBytes();
+}
+
+/// Records the skip summary of every non-empty sub-block `summaries` lacks
+/// from its CSR source index (one accounted read each). Summaries are
+/// exact, so one that cannot be read just stays unknown (no skip).
+void LearnSummariesFromIndex(const partition::GridDataset& dataset,
+                             SkipSummaryStore& summaries,
+                             obs::TraceBuffer* trace) {
+  const auto& manifest = dataset.manifest();
+  for (std::uint32_t i = 0; i < manifest.p; ++i) {
+    for (std::uint32_t j = 0; j < manifest.p; ++j) {
+      if (manifest.EdgesIn(i, j) == 0 || summaries.Known(i, j)) continue;
+      obs::TraceSpan span(trace, "index-read", 0);
+      auto offsets = dataset.LoadIndex(i, j);
+      if (offsets.ok()) summaries.RecordFromOffsets(i, j, *offsets);
+    }
+  }
+}
+
+/// Where a run keeps its vertex values between rounds (DESIGN.md §14).
+/// Out of core (the paper's model): the values file is written at run
+/// start, loaded at the start of every round and written back at every
+/// commit; a discarded round reloads it. Resident: the program arrays stay
+/// in RAM; every round starts by snapshotting them, so a discarded round
+/// (mid-round cancel, on-demand degradation) rolls back in memory, and the
+/// file is written once, when the run ends. The snapshot is allocated by
+/// the first round and reused by the rest.
+class ValueStore {
+ public:
+  ValueStore(bool resident, VertexState& state, io::Device& device,
+             std::string path, obs::TraceBuffer* trace)
+      : resident_(resident),
+        state_(state),
+        device_(device),
+        path_(std::move(path)),
+        trace_(trace) {}
+
+  /// Before the first round. Out of core only: seeds the values file the
+  /// first round loads.
+  Status Start() {
+    return resident_ ? Status::Ok() : state_.Persist(device_, path_);
+  }
+
+  /// Marks the committed boundary the round starts from.
+  Status BeginRound(std::uint32_t iteration) {
+    obs::TraceSpan span(trace_, "state-load", iteration);
+    if (!resident_) return state_.Load(device_, path_);
+    snapshot_.resize(state_.num_program_arrays());
+    for (std::uint32_t a = 0; a < state_.num_program_arrays(); ++a) {
+      const auto src = state_.array(a);
+      snapshot_[a].assign(src.begin(), src.end());
+    }
+    return Status::Ok();
+  }
+
+  /// Restores the boundary BeginRound marked, discarding the round's
+  /// partial updates.
+  Status Rollback(std::uint32_t iteration) {
+    obs::TraceSpan span(trace_, "state-load", iteration);
+    if (!resident_) return state_.Load(device_, path_);
+    for (std::uint32_t a = 0; a < state_.num_program_arrays(); ++a) {
+      std::copy(snapshot_[a].begin(), snapshot_[a].end(),
+                state_.array(a).begin());
+    }
+    return Status::Ok();
+  }
+
+  /// A committed round's write-back (out of core only).
+  Status CommitRound(std::uint32_t first_iteration) {
+    if (resident_) return Status::Ok();
+    obs::TraceSpan span(trace_, "write-back", first_iteration);
+    return state_.Persist(device_, path_);
+  }
+
+  /// After the last round. Resident only: the run's one |V|·N write,
+  /// charged to the last recorded round, whose write-back it is.
+  Status Finish(std::uint32_t iteration, ExecutionReport& report) {
+    if (!resident_) return Status::Ok();
+    obs::TraceSpan span(trace_, "write-back", iteration);
+    Status status;
+    const OutsideRoundIo charge =
+        MeasureIo(device_, [&] { status = state_.Persist(device_, path_); });
+    GRAPHSD_RETURN_IF_ERROR(status);
+    ChargeToRound(charge, report,
+                  report.per_round.empty() ? nullptr
+                                           : &report.per_round.back());
+    return Status::Ok();
+  }
+
+ private:
+  bool resident_;
+  VertexState& state_;
+  io::Device& device_;
+  std::string path_;
+  obs::TraceBuffer* trace_;
+  std::vector<std::vector<Slot>> snapshot_;
+};
+
 /// End-of-run metrics publication. Engine totals accumulate as counters
 /// (one Add per run); the I/O-stack components publish gauge snapshots.
 /// Strictly passive: reads counters, performs no I/O, feeds nothing back.
@@ -338,11 +465,12 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   ctx.prefetch = prefetch;
   ctx.trace = options_.trace;
   // Skip summaries (DESIGN.md §14): shared store when the caller provides
-  // one (the serve registry's per-dataset tier), private when running
-  // semi-external solo, absent otherwise (zero overhead on classic runs).
+  // one (the serve registry's per-dataset tier), private when the state is
+  // resident, absent otherwise (zero overhead on paper-model runs).
+  const bool resident = options_.semi_external;
   std::unique_ptr<SkipSummaryStore> local_summaries;
   SkipSummaryStore* summaries = options_.shared_summaries;
-  if (summaries == nullptr && options_.semi_external) {
+  if (summaries == nullptr && resident) {
     local_summaries = std::make_unique<SkipSummaryStore>(manifest);
     summaries = local_summaries.get();
   }
@@ -364,8 +492,13 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   FciuExecutor fciu(ctx);
   SemiExecutor semi(ctx);
   StateAwareScheduler scheduler(*dataset_, device.options().cost_model);
-  const bool semi_mode = options_.semi_external;
-  const SemiCostInputs semi_inputs{summaries, buffer};
+  // Resident runs decide on exact summaries from the first round: an
+  // indexed dataset's are all recorded below, before it. Summaries learned
+  // from decodes depend on what the run has fetched so far, so without an
+  // index the semi model is costed with none — the decisions stay a
+  // function of the dataset and the frontier, which a resumed run repeats
+  // exactly (DESIGN.md §12).
+  const SemiCostInputs semi_inputs{manifest.has_index ? summaries : nullptr};
 
   const bool checkpointing = !options_.checkpoint_dir.empty();
   CheckpointStore store(options_.checkpoint_dir);
@@ -422,7 +555,14 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   if (options_.frontier_probe) options_.frontier_probe(iterations, active);
 
   const std::string values_path = ValuesPath(program);
-  GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
+  ValueStore values(resident, state, device, values_path, options_.trace);
+  GRAPHSD_RETURN_IF_ERROR(values.Start());
+  OutsideRoundIo summary_probes;
+  if (resident && manifest.has_index) {
+    summary_probes = MeasureIo(device, [&] {
+      LearnSummariesFromIndex(*dataset_, *summaries, options_.trace);
+    });
+  }
 
   const std::uint32_t max_iterations =
       std::min(program.max_iterations(), options_.max_iterations);
@@ -431,8 +571,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   // nor ranged reads, so the run degrades instead of failing.
   bool selective_healthy = true;
 
-  // Writes the committed boundary (in-memory arrays + frontiers are in sync
-  // with the persisted values file whenever this is called).
+  // Writes the committed boundary (the in-memory arrays and frontiers).
   auto write_checkpoint = [&](std::uint32_t boundary) -> Status {
     obs::TraceSpan span(options_.trace, "checkpoint", boundary);
     WallTimer timer;
@@ -447,8 +586,8 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   };
 
   while (iterations < max_iterations) {
-    // Loop-top poll: everything here is committed (values file persisted,
-    // frontiers current), so cancellation just stops before the next round.
+    // Loop-top poll: everything here is committed (values and frontiers
+    // current), so cancellation just stops before the next round.
     if (run_token.cancelled()) {
       report.cancelled = true;
       report.cancel_reason = run_token.reason();
@@ -486,7 +625,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       stat.active_vertices = active.Count();
     } else if ((selective_healthy &&
                 (options_.force_on_demand || options_.enable_selective)) ||
-               semi_mode) {
+               resident) {
       // Under overlap charging the scheduler floors both model costs at the
       // run's observed per-round compute (0 before the first round commits,
       // i.e. the first evaluation is effectively serial).
@@ -495,14 +634,14 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
               ? report.compute_seconds / report.rounds
               : (overlap ? 0.0 : -1.0);
       obs::TraceSpan span(options_.trace, "schedule-decision", iterations);
-      // Semi mode keeps the state RAM-resident, so the per-round |V|·N
-      // values terms drop out of every model's formula (record bytes = 0).
+      // Resident state moves no per-round |V|·N values bytes, so those
+      // terms drop out of every model's formula (record bytes = 0).
       const SchedulerDecision decision = scheduler.Evaluate(
-          active, semi_mode ? 0 : state.BytesPerVertex(),
+          active, resident ? 0 : state.BytesPerVertex(),
           program.needs_weights() && manifest.weighted,
           /*fciu_round=*/options_.enable_cross_iteration &&
               iterations + 2 <= max_iterations,
-          overlap_compute, semi_mode ? &semi_inputs : nullptr);
+          overlap_compute, resident ? &semi_inputs : nullptr);
       stat.scheduler_seconds = decision.eval_seconds;
       // Record the raw model estimates: the charged (compute-floored)
       // values only break ties for the decision and would obscure the
@@ -526,28 +665,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     }
 
     RoundAccounting accounting(device, stat, report, overlap);
-    // Semi-external: the state is RAM-resident — no per-round reload.
-    // Instead the program arrays are snapshotted in memory so the rollback
-    // paths below (mid-round cancel, on-demand degradation) can restore the
-    // committed boundary without touching the stale values file.
-    std::vector<std::vector<Slot>> state_snapshot;
-    auto restore_state = [&] {
-      for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
-        const auto dst = state.array(a);
-        std::copy(state_snapshot[a].begin(), state_snapshot[a].end(),
-                  dst.begin());
-      }
-    };
-    if (semi_mode) {
-      state_snapshot.resize(state.num_program_arrays());
-      for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
-        const auto src = state.array(a);
-        state_snapshot[a].assign(src.begin(), src.end());
-      }
-    } else {
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-    }
+    GRAPHSD_RETURN_IF_ERROR(values.BeginRound(iterations));
     // `preact` is kept intact until the round commits: if the on-demand
     // attempt fails it reseeds the full-streaming redo of the same round.
     out.CopyFrom(preact);
@@ -580,14 +698,8 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
         selective_healthy = false;
         ++report.degraded_rounds;
         // Discard the partial iteration and redo it under the full model:
-        // restore committed values (in-memory snapshot in semi mode, the
-        // persisted file otherwise) and reseed the output frontiers.
-        if (semi_mode) {
-          restore_state();
-        } else {
-          obs::TraceSpan span(options_.trace, "state-load", iterations);
-          GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-        }
+        // restore the committed values and reseed the output frontiers.
+        GRAPHSD_RETURN_IF_ERROR(values.Rollback(iterations));
         out.CopyFrom(preact);
         out_ni.Clear();
         on_demand = false;
@@ -635,12 +747,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       // executor success, so `active`/`preact` still describe the last
       // committed boundary — restore its values and stop there. The partial
       // round's accounting is deliberately dropped (never Commit()ed).
-      if (semi_mode) {
-        restore_state();
-      } else {
-        obs::TraceSpan span(options_.trace, "state-load", iterations);
-        GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-      }
+      GRAPHSD_RETURN_IF_ERROR(values.Rollback(iterations));
       report.cancelled = true;
       report.cancel_reason = run_token.reason();
       break;
@@ -651,10 +758,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       report.blocks_skipped += stat.blocks_skipped;
       report.blocks_skipped_bytes += stat.blocks_skipped_bytes;
     }
-    if (!semi_mode) {
-      obs::TraceSpan span(options_.trace, "write-back", stat.first_iteration);
-      GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
-    }
+    GRAPHSD_RETURN_IF_ERROR(values.CommitRound(stat.first_iteration));
     accounting.Commit(options_.record_per_round);
     if (options_.frontier_probe) options_.frontier_probe(iterations, active);
     if (checkpointing &&
@@ -663,17 +767,10 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     }
   }
 
-  if (semi_mode) {
-    // Semi mode's replacement for the per-round write-back: one |V|·N
-    // accounted write for the whole run. Folded into the report manually —
-    // it commits outside any round's accounting window.
-    obs::TraceSpan span(options_.trace, "write-back", iterations);
-    const auto io_before = device.stats().Snapshot();
-    const double clock_before = device.clock().Seconds();
-    GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
-    report.io += device.stats().Snapshot() - io_before;
-    report.io_seconds += device.clock().Seconds() - clock_before;
-  }
+  // The probes ran before the first round: charged to it.
+  ChargeToRound(summary_probes, report,
+                report.per_round.empty() ? nullptr : &report.per_round.front());
+  GRAPHSD_RETURN_IF_ERROR(values.Finish(iterations, report));
   if (report.cancelled) {
     GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",
                      iterations, report.cancel_reason.c_str());
@@ -735,7 +832,8 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   ctx.dataset = dataset_;
   ctx.buffer = buffer;
   // Gather runs never choose the semi model (push-only), but they still
-  // record summaries into a shared store and honor frame caching.
+  // record summaries into a shared store and honor frame caching; their
+  // state residency follows semi_external like a push run's.
   ctx.summaries = options_.shared_summaries;
   ctx.cache_compressed = options_.cache_compressed && dataset_->compressed();
   std::unique_ptr<io::PrefetchPipeline> local_prefetch;
@@ -799,7 +897,9 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   }
 
   const std::string values_path = ValuesPath(program);
-  GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
+  ValueStore values(options_.semi_external, state, device, values_path,
+                    options_.trace);
+  GRAPHSD_RETURN_IF_ERROR(values.Start());
 
   const std::uint32_t max_iterations =
       std::min(program.max_iterations(), options_.max_iterations);
@@ -830,20 +930,15 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
     stat.active_edges = manifest.num_edges;
 
     RoundAccounting accounting(device, stat, report, overlap);
-    {
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-    }
+    GRAPHSD_RETURN_IF_ERROR(values.BeginRound(iterations));
     const bool two = options_.enable_cross_iteration &&
                      iterations + 2 <= max_iterations;
     Status status = fciu.RunGatherRound(program, state, two, stat,
                                         &report.update_seconds);
     if (status.code() == StatusCode::kCancelled) {
-      // The round never committed: gather rounds mutate only the in-memory
-      // arrays, which the next state.Load would overwrite anyway — reload
-      // the committed values and stop there.
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
+      // The round never committed: its columns may already have finalized
+      // new values — restore the committed boundary and stop there.
+      GRAPHSD_RETURN_IF_ERROR(values.Rollback(iterations));
       report.cancelled = true;
       report.cancel_reason = run_token.reason();
       break;
@@ -854,10 +949,7 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
       GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path + ".prop"));
       GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path + ".prop"));
     }
-    {
-      obs::TraceSpan span(options_.trace, "write-back", stat.first_iteration);
-      GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
-    }
+    GRAPHSD_RETURN_IF_ERROR(values.CommitRound(stat.first_iteration));
     accounting.Commit(options_.record_per_round);
     if (checkpointing &&
         iterations - last_checkpoint_iteration >= checkpoint_every) {
@@ -865,6 +957,7 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
     }
   }
 
+  GRAPHSD_RETURN_IF_ERROR(values.Finish(iterations, report));
   if (report.cancelled) {
     GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",
                      iterations, report.cancel_reason.c_str());

@@ -300,11 +300,13 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
         ScopedWallAccumulator acc(update_seconds);
         const EdgeSpan edges =
             EdgesOf(block->edges, block->weights, need_weights);
-        program.AccumulateEdges(state, edges, ContribSlot::kPrimary,
-                                AccumSlot::kA);
         if (two_iterations && i < j) {
-          program.AccumulateEdges(state, edges, ContribSlot::kSecondary,
-                                  AccumSlot::kB);
+          // Interval i sealed when column i completed: one pass feeds
+          // iteration t (kA) and t+1 (kB).
+          program.AccumulateEdgesBoth(state, edges);
+        } else {
+          program.AccumulateEdges(state, edges, ContribSlot::kPrimary,
+                                  AccumSlot::kA);
         }
       }
 

@@ -20,13 +20,13 @@
 //
 // Apply order: every executor applies edges on the engine thread, in file
 // order, through one virtual call per sub-block or edge run —
-// PushProgram::ApplyEdges / GatherProgram::AccumulateEdges. Their loops are
-// written once below (ApplyEdgesOf, AccumulateEdgesOf), as templates over
-// the concrete program, so each program's per-edge `Apply`/`Accumulate`
-// inlines into them. A combine is a plain read-modify-write of dst's slot
-// (core/slot.hpp), and results are bit-identical run to run, float
-// reductions included: the kernel visits exactly the edges, in exactly the
-// order, the per-edge calls would.
+// PushProgram::ApplyEdges / GatherProgram::AccumulateEdges(Both). Their loops
+// are written once below (ApplyEdgesOf, AccumulateEdges(Both)Of), as
+// templates over the concrete program, so each program's per-edge
+// `Apply`/`Accumulate` inlines into them. A combine is a plain
+// read-modify-write of dst's slot (core/slot.hpp), and results are
+// bit-identical run to run, float reductions included: the kernel visits
+// exactly the edges, in exactly the order, the per-edge calls would.
 #pragma once
 
 #include <cstddef>
@@ -100,6 +100,31 @@ void AccumulateEdgesOf(const P& program, VertexState& state, EdgeSpan run,
       const Edge& edge = run.edges[k];
       program.Accumulate(state, edge.src, edge.dst,
                          kWeighted ? run.weights[k] : Weight{1}, c, a);
+    }
+  };
+  if (run.weights != nullptr) {
+    loop.template operator()<true>();
+  } else {
+    loop.template operator()<false>();
+  }
+}
+
+/// FCIU gather's fused first-half kernel for a sub-block (i, j), i < j:
+/// one pass over `run` feeds both accumulators — kPrimary into kA
+/// (iteration t) and kSecondary into kB (iteration t+1). Each accumulator
+/// sees its edges in file order, exactly as two AccumulateEdgesOf passes
+/// would, so the sums are bit-identical.
+template <typename P>
+void AccumulateEdgesBothOf(const P& program, VertexState& state,
+                           EdgeSpan run) {
+  const auto loop = [&]<bool kWeighted>() {
+    for (std::size_t k = 0; k < run.count; ++k) {
+      const Edge& edge = run.edges[k];
+      const Weight w = kWeighted ? run.weights[k] : Weight{1};
+      program.Accumulate(state, edge.src, edge.dst, w, ContribSlot::kPrimary,
+                         AccumSlot::kA);
+      program.Accumulate(state, edge.src, edge.dst, w,
+                         ContribSlot::kSecondary, AccumSlot::kB);
     }
   };
   if (run.weights != nullptr) {
@@ -201,6 +226,12 @@ class GatherProgram : public Program {
   virtual void AccumulateEdges(VertexState& state, EdgeSpan run,
                                ContribSlot c, AccumSlot a) const {
     AccumulateEdgesOf(*this, state, run, c, a);
+  }
+
+  /// Both first-half accumulations of an FCIU round over one run
+  /// (AccumulateEdgesBothOf), overridden and defaulted like AccumulateEdges.
+  virtual void AccumulateEdgesBoth(VertexState& state, EdgeSpan run) const {
+    AccumulateEdgesBothOf(*this, state, run);
   }
 
   /// Commits accum(a) into the value array for vertices [begin, end).

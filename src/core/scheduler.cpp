@@ -265,14 +265,13 @@ SchedulerDecision StateAwareScheduler::Evaluate(
 
   // --- semi-external cost C_m (DESIGN.md §14) ------------------------------
   // One plain iteration: stream the on-disk bytes of every non-empty
-  // sub-block that survives the skip tests, plus the index-probe bytes of
-  // unknown summaries (the executor pays that probe to learn them). No
-  // vertex-values terms at all — semi mode keeps the state RAM-resident.
-  // Buffer-resident sub-blocks charge decode only (compressed datasets).
+  // sub-block that survives the skip tests. No vertex-values terms at all —
+  // the state is RAM-resident. Like C_r and C_s, no credit for buffered
+  // sub-blocks: the decision must not depend on what a run happens to have
+  // cached.
   double cost_semi_io = 0;
   if (semi != nullptr) {
     std::uint64_t semi_read_bytes = 0;
-    std::uint64_t semi_probe_bytes = 0;
     std::uint64_t semi_decoded_bytes = 0;
     for (std::uint32_t i = 0; i < manifest.p; ++i) {
       const bool row_has_actives = !row_locals[i].empty();
@@ -287,22 +286,12 @@ SchedulerDecision StateAwareScheduler::Evaluate(
               manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
           continue;
         }
-        if (semi->summaries != nullptr && !semi->summaries->Known(i, j) &&
-            manifest.has_index) {
-          semi_probe_bytes +=
-              (static_cast<std::uint64_t>(manifest.IntervalSize(i)) + 1) *
-              sizeof(std::uint32_t);
-        }
-        if (semi->buffer != nullptr && semi->buffer->Contains(i, j)) {
-          if (compressed) semi_decoded_bytes += edges * kEdgeBytes;
-          continue;
-        }
         semi_read_bytes +=
             manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
         if (compressed) semi_decoded_bytes += edges * kEdgeBytes;
       }
     }
-    cost_semi_io = model_.SeqReadSeconds(semi_read_bytes + semi_probe_bytes);
+    cost_semi_io = model_.SeqReadSeconds(semi_read_bytes);
     d.decode_seconds_semi = model_.DecodeSeconds(semi_decoded_bytes);
   }
 

@@ -28,7 +28,6 @@
 
 #include "core/frontier.hpp"
 #include "core/skip_summary.hpp"
-#include "core/sub_block_buffer.hpp"
 #include "io/cost_model.hpp"
 #include "partition/grid_dataset.hpp"
 
@@ -45,14 +44,10 @@ double InterpolateExpectedColumns(std::span<const std::uint64_t> anchors,
                                   std::uint64_t edges);
 
 /// Optional inputs that make the semi-external model (DESIGN.md §14) a
-/// third costed choice in Evaluate. `summaries` drives the skip estimate
-/// (an unknown summary is conservatively costed as a full fetch plus its
-/// index probe); `buffer` credits resident sub-blocks with a decode-only
-/// charge. Either pointer may be null — the corresponding credit is then
-/// simply not taken.
+/// third costed choice in Evaluate. `summaries` drives the skip estimate:
+/// an unknown summary — or a null store — is costed as a full fetch.
 struct SemiCostInputs {
   const SkipSummaryStore* summaries = nullptr;
-  const SubBlockBuffer* buffer = nullptr;
 };
 
 struct SchedulerDecision {
@@ -122,11 +117,11 @@ class StateAwareScheduler {
   /// paper's cost-model shapes.
   ///
   /// Passing `semi` makes the semi-external model a third choice: C_m sums
-  /// the on-disk bytes of the non-skippable sub-blocks (plus index-probe
-  /// bytes for unknown summaries) with NO vertex-values terms — the state
-  /// is RAM-resident in semi mode. Semi wins only when strictly cheaper
-  /// than the two-way winner (charged, then serial tie-break), so a null
-  /// `semi` — and every existing call site — behaves exactly as before.
+  /// the on-disk bytes of the non-skippable sub-blocks with NO
+  /// vertex-values terms — the state is RAM-resident in semi mode. Semi
+  /// wins only when strictly cheaper than the two-way winner (charged, then
+  /// serial tie-break), so a null `semi` — and every existing call site —
+  /// behaves exactly as before.
   SchedulerDecision Evaluate(const Frontier& active,
                              std::uint64_t vertex_record_bytes,
                              bool with_weights, bool fciu_round = false,

@@ -36,23 +36,16 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
   }
 
   // Plan the sweep up front so the survivors stream on the prefetch
-  // pipeline. Three ways a sub-block is elided before any edge I/O:
+  // pipeline. Two ways a sub-block is elided before any edge I/O:
   //   1. its whole source row has no active vertices;
-  //   2. its recorded summary proves no active source has edges in it;
-  //   3. its summary was unknown, one accounted index probe records it
-  //      (RecordFromOffsets), and the fresh summary proves the same.
-  // Anything else is fetched, applied, and — as a side effect — recorded
-  // from its decoded edges, so later rounds skip it without the probe.
+  //   2. its recorded summary proves no active source has edges in it.
+  // On an indexed dataset the engine has recorded every summary before the
+  // first round; otherwise anything fetched is recorded from its decoded
+  // edges, so later rounds can skip it.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;
   for (std::uint32_t j = 0; j < p; ++j) {
     for (std::uint32_t i = 0; i < p; ++i) {
       if (manifest.EdgesIn(i, j) == 0) continue;
-      if (!row_actives[i].empty() && summaries != nullptr &&
-          !summaries->Known(i, j) && manifest.has_index) {
-        obs::TraceSpan span(ctx_.trace, "index-read", trace_iteration_);
-        auto offsets = dataset.LoadIndex(i, j);
-        if (offsets.ok()) summaries->RecordFromOffsets(i, j, *offsets);
-      }
       if (row_actives[i].empty() ||
           (summaries != nullptr &&
            summaries->CanSkip(i, j, row_actives[i]))) {

@@ -35,6 +35,7 @@ Status WriteArtifact(const ReproArtifact& a, const std::string& path) {
   out << "model " << a.model << "\n";
   out << "cross_iteration " << (a.cross_iteration ? 1 : 0) << "\n";
   out << "prefetch_depth " << a.prefetch_depth << "\n";
+  out << "semi_external " << (a.semi_external ? 1 : 0) << "\n";
   out << "fault " << FaultName(a.fault) << "\n";
   out << "vertices " << a.graph.num_vertices() << "\n";
   out << "edges " << a.graph.num_edges() << "\n";
@@ -71,6 +72,7 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
   bool weighted = false;
   bool saw_header = false;
   bool saw_end = false;
+  bool saw_semi_external = false;
   std::vector<Edge> edges;
   std::vector<Weight> weights;
 
@@ -139,6 +141,9 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
     } else if (key == "prefetch_depth") {
       a.prefetch_depth =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+    } else if (key == "semi_external") {
+      a.semi_external = value == "1";
+      saw_semi_external = true;
     } else if (key == "threads" || key == "compute_threads") {
       // Pre-serial-compute thread knobs: accepted, ignored.
     } else if (key == "fault") {
@@ -169,6 +174,7 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
                          std::to_string(edges.size()));
   }
   if (a.p == 0) return Malformed(path, line_no, "p must be >= 1");
+  if (!saw_semi_external) a.semi_external = a.model == "semi";
 
   a.graph = EdgeList(vertices);
   for (std::size_t k = 0; k < edges.size(); ++k) {

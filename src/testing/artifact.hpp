@@ -19,6 +19,7 @@
 //   model auto|on_demand|full|semi
 //   cross_iteration 0|1
 //   prefetch_depth <u32>
+//   semi_external 0|1         # resident vertex state
 //   fault none|drop_max_edge
 //   vertices <u32>
 //   edges <u64>
@@ -28,7 +29,9 @@
 //
 // Files written before compute became serial-only may also carry
 // `threads <u32>` and `compute_threads <u32>` lines; the reader accepts and
-// ignores them.
+// ignores them. Files written before residency became the default have no
+// `semi_external` line; their trials ran resident only under model semi,
+// and the reader restores exactly that.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,7 @@ struct ReproArtifact {
   std::string model = "auto";  // auto | on_demand | full | semi
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
+  bool semi_external = true;
   EngineFault fault = EngineFault::kNone;
   EdgeList graph{0};
 };

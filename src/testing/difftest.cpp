@@ -214,7 +214,7 @@ Result<std::optional<Divergence>> RunTrial(
   options.enable_cross_iteration = cross;
   options.prefetch_depth = config.prefetch_depth;
   options.record_per_round = false;
-  options.semi_external = semi;
+  options.semi_external = semi || config.semi_external;
   // Semantics-neutral cache shape change: compressed datasets keep raw
   // frames in the buffer and decode on hit. Always on so every trial also
   // differentially covers the decode-on-hit path.
@@ -353,6 +353,7 @@ Result<bool> StillDiverges(const ReproArtifact& artifact, const EdgeList& graph,
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
+  config.semi_external = artifact.semi_external;
   config.fault = artifact.fault;
   auto divergence = RunTrial(graph, root, *built->dataset, config);
   GRAPHSD_RETURN_IF_ERROR(divergence.status());
@@ -446,6 +447,7 @@ Result<std::optional<Divergence>> ReplayArtifact(
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
+  config.semi_external = artifact.semi_external;
   config.fault = artifact.fault;
   return RunTrial(artifact.graph, artifact.root, *built->dataset, config);
 }
@@ -499,14 +501,20 @@ class TripPushProgram final : public PushProgram {
   mutable std::atomic<std::uint64_t> calls_{0};
 };
 
-// Gather counterpart: trips after the N-th MakeContribution call. Gather
-// runs have no frontier probe, so this is the deterministic kill mechanism
-// for them (the serial call sequence is fixed).
+// Gather counterpart: trips after the N-th MakeContribution call, or — with
+// `after_finalize` — right after the N-th Finalize call, when a column's new
+// values are already written. Gather runs have no frontier probe, so this
+// is the deterministic kill mechanism for them (the serial call sequence is
+// fixed).
 class TripGatherProgram final : public GatherProgram {
  public:
   TripGatherProgram(std::unique_ptr<GatherProgram> inner,
-                    CancellationToken* token, std::uint64_t trip_after)
-      : inner_(std::move(inner)), token_(token), trip_after_(trip_after) {}
+                    CancellationToken* token, std::uint64_t trip_after,
+                    bool after_finalize)
+      : inner_(std::move(inner)),
+        token_(token),
+        trip_after_(trip_after),
+        after_finalize_(after_finalize) {}
 
   std::string name() const override { return inner_->name(); }
   bool needs_weights() const override { return inner_->needs_weights(); }
@@ -527,9 +535,7 @@ class TripGatherProgram final : public GatherProgram {
   }
   void MakeContribution(VertexState& state, VertexId v,
                         core::ContribSlot slot) const override {
-    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == trip_after_) {
-      token_->Cancel("difftest kill");
-    }
+    if (!after_finalize_) Count();
     inner_->MakeContribution(state, v, slot);
   }
   void ResetAccum(VertexState& state, core::AccumSlot a) const override {
@@ -542,12 +548,20 @@ class TripGatherProgram final : public GatherProgram {
   void Finalize(VertexState& state, VertexId begin, VertexId end,
                 core::AccumSlot a) const override {
     inner_->Finalize(state, begin, end, a);
+    if (after_finalize_) Count();
   }
 
  private:
+  void Count() const {
+    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == trip_after_) {
+      token_->Cancel("difftest kill");
+    }
+  }
+
   std::unique_ptr<GatherProgram> inner_;
   CancellationToken* token_;
   std::uint64_t trip_after_;
+  bool after_finalize_;
   mutable std::atomic<std::uint64_t> calls_{0};
 };
 
@@ -615,7 +629,7 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
     options.record_per_round = false;
     options.overlap_io = false;
     options.max_iterations = 1000;
-    options.semi_external = semi;
+    options.semi_external = semi || config.semi_external;
     options.cache_compressed = true;
     if (config.model != "auto") {
       const RoundModelChoice forced = config.model == "on_demand"
@@ -663,14 +677,20 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
           };
     }
   } else {
-    // Aim mid-round near iteration kill/2: gather contributes every vertex
-    // each iteration, so vertex-count scaling spreads kills across rounds.
+    // Contribution counting aims near iteration kill/2: gather contributes
+    // every vertex each iteration, so vertex-count scaling spreads kills
+    // across rounds. Finalize counting (one call per column of a round,
+    // plus the cross-iteration half's) lands after the kill+1-th write of
+    // new values.
     const std::uint64_t trip_after =
-        std::uint64_t{config.kill_iteration} * graph.num_vertices() / 2 + 3;
+        config.midround_kill
+            ? std::uint64_t{config.kill_iteration} + 1
+            : std::uint64_t{config.kill_iteration} * graph.num_vertices() / 2 +
+                  3;
     killed_program = std::make_unique<TripGatherProgram>(
         std::unique_ptr<GatherProgram>(
             static_cast<GatherProgram*>(killed_program.release())),
-        &token, trip_after);
+        &token, trip_after, config.midround_kill);
   }
   GraphSDEngine killed_engine(dataset, killed_options);
   auto killed_report = killed_engine.Run(*killed_program);
@@ -679,6 +699,28 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
         MakeStatusDivergence(killed_report.status()));
   }
   const bool was_killed = killed_report->cancelled;
+
+  // A cancelled run rolls back to the committed boundary, which its newest
+  // checkpoint holds: its in-memory values must equal that checkpoint's.
+  if (was_killed && killed_report->iterations > 0) {
+    auto latest = core::CheckpointStore(checkpoint_dir).LoadLatest();
+    GRAPHSD_RETURN_IF_ERROR(latest.status());
+    const VertexState& state = *killed_engine.state();
+    for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
+      const auto values = state.array(a);
+      const auto& saved = latest->arrays[a];
+      const auto mine =
+          std::mismatch(values.begin(), values.end(), saved.begin()).first;
+      if (mine == values.end()) continue;
+      Divergence d;
+      d.invariant = "value";
+      d.vertex = static_cast<VertexId>(mine - values.begin());
+      d.iteration = killed_report->iterations;
+      d.detail = "cancelled run's values differ from its final checkpoint "
+                 "(round not rolled back)";
+      return std::optional<Divergence>(d);
+    }
+  }
 
   // 3. Optional slot damage (torn write / bit rot) before the resume.
   if (config.corrupt_newest != 0) {
@@ -788,7 +830,8 @@ Result<SweepSummary> RunKillResumeSweep(const KillResumeSweepOptions& options) {
           config.kill_iteration = kKills[rotation % 4];
           config.cross_iteration = ((rotation / 4) % 2) == 1;
           config.prefetch_depth = kDepths[(rotation / 8) % 3];
-          config.midround_kill = algo.push && ((rotation / 2) % 2) == 1;
+          config.semi_external = ((rotation / 7) % 2) == 0;
+          config.midround_kill = ((rotation / 2) % 2) == 1;
           // Corruption needs an older slot to fall back to, which a kill at
           // iteration >= 2 (checkpointing every iteration) guarantees.
           config.corrupt_newest =
@@ -865,6 +908,7 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           config.model = model;
           config.prefetch_depth = kDepths[rotation % 3];
           config.cross_iteration = ((rotation / 3) % 2) == 1;
+          config.semi_external = ((rotation / 7) % 2) == 0;
           if (options.fault != EngineFault::kNone && algo.push) {
             config.fault = options.fault;
           }
@@ -888,6 +932,8 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           artifact.model = config.model;
           artifact.cross_iteration = config.cross_iteration;
           artifact.prefetch_depth = config.prefetch_depth;
+          artifact.semi_external =
+              config.semi_external || config.model == "semi";
           artifact.fault = config.fault;
           artifact.graph = graph_case.list;
           GRAPHSD_RETURN_IF_ERROR(MinimizeArtifact(

@@ -22,7 +22,8 @@
 // varint-delta datasets with varying P, and runs every registered
 // algorithm through forced-SCIU / forced-FCIU / forced-semi /
 // scheduler-auto
-// configurations with rotating prefetch depth and cross-iteration setting.
+// configurations with rotating prefetch depth, cross-iteration setting and
+// vertex-state residency.
 // The first divergence is minimized (ddmin over edges, then vertex-range
 // shrink) and persisted as a replayable artifact.
 #pragma once
@@ -52,6 +53,9 @@ struct TrialConfig {
   std::string model = "auto";
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
+  /// EngineOptions::semi_external: RAM-resident vertex state (true) or the
+  /// paper's out-of-core state. Always on under the "semi" model.
+  bool semi_external = true;
   /// Deliberate engine-side fault (push algorithms only) for harness
   /// self-tests.
   EngineFault fault = EngineFault::kNone;
@@ -139,14 +143,17 @@ struct KillResumeConfig {
   std::string model = "on_demand";
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
+  /// As TrialConfig::semi_external.
+  bool semi_external = true;
   /// Where to kill, >= 1. Push algorithms kill at this committed iteration
   /// boundary (the frontier probe trips the token); gather algorithms — and
   /// push with `midround_kill` — trip the token from inside the program at
   /// a call count derived from this knob, exercising the mid-round
   /// rollback-to-boundary path.
   std::uint32_t kill_iteration = 1;
-  /// Push only: kill mid-round via an Apply-counting wrapper instead of at
-  /// the iteration boundary.
+  /// Kill mid-round instead of at the iteration boundary: push trips after
+  /// an Apply count, gather right after a Finalize count (a column's new
+  /// values are written, so the rollback must undo them).
   bool midround_kill = false;
   /// Damage the newest checkpoint slot before resuming: 0 = intact,
   /// 1 = single bit flip, 2 = truncation. Applied only when both slots
@@ -172,8 +179,8 @@ struct KillResumeSweepOptions {
 
 /// Randomized kill/resume sweep: every registered algorithm x raw and
 /// varint-delta datasets x all four I/O models, with kill point, kill
-/// style, cross-iteration, prefetch depth and slot corruption rotating
-/// across combos. Three seeds already cover 126 combos.
+/// style, cross-iteration, prefetch depth, state residency and slot
+/// corruption rotating across combos. Three seeds already cover 168 combos.
 Result<SweepSummary> RunKillResumeSweep(const KillResumeSweepOptions& options);
 
 /// Shrinks `artifact`'s graph in place (edge ddmin, then vertex-range

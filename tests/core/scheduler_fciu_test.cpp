@@ -117,7 +117,8 @@ TEST_F(SchedulerFciuTest, OnDemandEstimateTracksActualCost) {
   BuildTestGrid(weighted, *sim, dir2.Sub("w"), 4);
   const auto ds = ValueOrDie(partition::GridDataset::Open(*sim, dir2.Sub("w")));
 
-  core::EngineOptions engine_options;
+  // The paper's C_r, |V|·N values terms included (out-of-core state).
+  core::EngineOptions engine_options = core::PaperEngineOptions();
   engine_options.force_on_demand = true;
   GraphSDEngine engine(ds, engine_options);
   algos::Sssp sssp(0);

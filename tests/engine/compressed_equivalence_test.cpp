@@ -170,8 +170,11 @@ TEST_P(CompressedEquivalence, SsspForcedOnDemand) {
 
 TEST_P(CompressedEquivalence, BfsFullStreamingOnly) {
   BuildBoth();
-  core::EngineOptions base;
-  base.enable_selective = false;  // FCIU fetch+decode pipeline
+  // FCIU fetch+decode pipeline on every round: the paper's two models with
+  // the on-demand one disabled (resident state would add semi rounds, whose
+  // cost legitimately depends on the layout).
+  core::EngineOptions base = core::PaperEngineOptions();
+  base.enable_selective = false;
   SweepCompressedConfigs(raw_, comp_, base, [] { return algos::Bfs(0); });
 
   // Full streaming moves strictly fewer on-disk bytes from the compressed
@@ -195,15 +198,18 @@ TEST_P(CompressedEquivalence, SsspDefaultSchedulerSerialCharging) {
   // iteration count, since FCIU rounds cover two BSP iterations — may
   // differ from the raw dataset's (the costs legitimately change with
   // the layout).
+  // The paper's cost formulas: every model's cost carries the |V|·N values
+  // terms, so each scheduled round logs a positive cost for both.
   BuildBoth();
+  const core::EngineOptions paper = core::PaperEngineOptions();
   const RunObservation reference =
-      Observe(raw_, WithConfig({}, kConfigs[0]), algos::Sssp(0));
+      Observe(raw_, WithConfig(paper, kConfigs[0]), algos::Sssp(0));
   std::optional<RunObservation> comp_reference;
   for (const PrefetchConfig& config : kConfigs) {
     if (config.overlap) continue;
     SCOPED_TRACE(config.name);
     const RunObservation obs =
-        Observe(comp_, WithConfig({}, config), algos::Sssp(0));
+        Observe(comp_, WithConfig(paper, config), algos::Sssp(0));
     ExpectValuesBitIdentical(obs.values, reference.values);
     ExpectCompressionReported(obs.report);
 

@@ -1,4 +1,5 @@
 // I/O accounting invariants of the engine and its reports.
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
+#include "io/fault_injector.hpp"
 
 namespace graphsd {
 namespace {
@@ -63,7 +65,8 @@ TEST_F(EngineIoTest, ReportNamesEngineAlgorithmDataset) {
 }
 
 TEST_F(EngineIoTest, VertexValueTrafficChargedEveryRound) {
-  core::GraphSDEngine engine(*t_.dataset, {});
+  // The paper's out-of-core state: the values file moves every round.
+  core::GraphSDEngine engine(*t_.dataset, core::PaperEngineOptions());
   algos::PageRank pr(4);
   const auto report = ValueOrDie(engine.Run(pr));
   const std::uint64_t values_bytes =
@@ -71,6 +74,67 @@ TEST_F(EngineIoTest, VertexValueTrafficChargedEveryRound) {
   // Initial persist + one load and one persist per round.
   EXPECT_GE(report.io.TotalWriteBytes(), values_bytes * report.rounds);
   EXPECT_GE(report.io.TotalReadBytes(), values_bytes * report.rounds);
+}
+
+// Resident state (the default): the values file is written once, at run
+// end, with exactly |V|·N bytes, never read, and holds the in-memory
+// result. A fault rule failing every read of the values file proves the
+// "never read"; the paper preset, which reloads the file every round, trips
+// the same rule.
+TEST_F(EngineIoTest, ResidentStateWritesValuesOnce) {
+  io::FaultInjector no_values_reads;
+  io::FaultRule rule;
+  rule.kind = io::FaultKind::kEio;
+  rule.op = io::FaultOp::kRead;
+  rule.path_substring = "values_";
+  rule.probability = 1.0;
+  no_values_reads.AddRule(rule);
+  t_.device->set_fault_injector(&no_values_reads);
+
+  algos::Sssp sssp(0);
+  algos::PageRankDelta prd(1e-9);
+  algos::PageRank pr(4);
+  for (core::Program* program :
+       std::initializer_list<core::Program*>{&sssp, &prd, &pr}) {
+    SCOPED_TRACE(program->name());
+    TempDir scratch;
+    core::EngineOptions options;
+    options.scratch_dir = scratch.path();
+    core::GraphSDEngine engine(*t_.dataset, options);
+    no_values_reads.Reset();
+    const io::IoStatsSnapshot before = t_.device->stats().Snapshot();
+    const auto report = ValueOrDie(engine.Run(*program));
+    const io::IoStatsSnapshot moved = t_.device->stats().Snapshot() - before;
+    EXPECT_EQ(no_values_reads.faults_injected(), 0u);
+    EXPECT_GT(report.rounds, 1u);
+
+    const core::VertexState& state = *engine.state();
+    const std::uint64_t values_bytes =
+        static_cast<std::uint64_t>(state.num_vertices()) *
+        state.BytesPerVertex();
+    EXPECT_EQ(report.io.TotalWriteBytes(), values_bytes);
+    EXPECT_EQ(moved.TotalWriteBytes(), values_bytes);
+
+    std::string expected;
+    for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
+      const auto array = state.array(a);
+      expected.append(reinterpret_cast<const char*>(array.data()),
+                      array.size_bytes());
+    }
+    const std::string file = ValueOrDie(io::ReadFileToString(
+        scratch.path() + "/values_" + program->name() + ".bin"));
+    EXPECT_TRUE(file == expected) << "values file differs from the result";
+  }
+
+  TempDir scratch;
+  core::EngineOptions paper = core::PaperEngineOptions();
+  paper.scratch_dir = scratch.path();
+  core::GraphSDEngine engine(*t_.dataset, paper);
+  algos::PageRank paper_pr(4);
+  no_values_reads.Reset();
+  EXPECT_FALSE(engine.Run(paper_pr).ok());
+  EXPECT_GT(no_values_reads.faults_injected(), 0u);
+  t_.device->set_fault_injector(nullptr);
 }
 
 TEST_F(EngineIoTest, UnweightedAlgorithmNeverReadsWeightFiles) {

@@ -2,8 +2,10 @@
 // always lands on a committed iteration boundary, checkpoints resume
 // bit-identically, damaged slots fall back or surface kCorruptData, and
 // mismatched resume preconditions are refused — never silently executed.
+#include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <span>
 #include <thread>
 
@@ -58,46 +60,65 @@ class EngineLifecycleTest : public ::testing::Test {
 };
 
 TEST_F(EngineLifecycleTest, KillAtBoundaryThenResumeIsBitIdentical) {
-  // Uninterrupted baseline.
-  core::GraphSDEngine baseline(*t_.dataset, Opts());
-  algos::Bfs bfs_base(0);
-  const auto base_report = ValueOrDie(baseline.Run(bfs_base));
-  const std::vector<double> expect = Values(bfs_base, *baseline.state());
-  ASSERT_GT(base_report.iterations, 3u);
+  for (const bool resident : {false, true}) {
+    SCOPED_TRACE(resident ? "resident" : "paper");
+    core::EngineOptions options = Opts();
+    options.semi_external = resident;
+    // Uninterrupted baseline, recording its committed boundaries.
+    std::vector<std::uint32_t> boundaries;
+    core::EngineOptions base_options = options;
+    base_options.frontier_probe = [&boundaries](std::uint32_t next_iteration,
+                                                const core::Frontier&) {
+      boundaries.push_back(next_iteration);
+    };
+    core::GraphSDEngine baseline(*t_.dataset, base_options);
+    algos::Bfs bfs_base(0);
+    const auto base_report = ValueOrDie(baseline.Run(bfs_base));
+    const std::vector<double> expect = Values(bfs_base, *baseline.state());
+    ASSERT_GT(base_report.iterations, 3u);
+    // A round covers one or two iterations: the kill lands on the first
+    // boundary at or past 2 — exactly 2 under the paper's schedule.
+    const std::uint32_t kill_boundary =
+        *std::find_if(boundaries.begin(), boundaries.end(),
+                      [](std::uint32_t b) { return b >= 2; });
+    if (!resident) {
+      EXPECT_EQ(kill_boundary, 2u);
+    }
 
-  // Killed run: the frontier probe trips the token entering iteration 2;
-  // prefetch depth 4 keeps in-flight I/O live across the cancellation so
-  // the drain path is exercised too.
-  CancellationToken token;
-  core::EngineOptions killed_options = Opts();
-  killed_options.prefetch_depth = 4;
-  killed_options.checkpoint_dir = CheckpointDir();
-  killed_options.cancel = &token;
-  killed_options.frontier_probe = [&token](std::uint32_t next_iteration,
-                                           const core::Frontier&) {
-    if (next_iteration >= 2) token.Cancel("test kill");
-  };
-  core::GraphSDEngine killed(*t_.dataset, killed_options);
-  algos::Bfs bfs_killed(0);
-  const auto killed_report = ValueOrDie(killed.Run(bfs_killed));
-  EXPECT_TRUE(killed_report.cancelled);
-  EXPECT_EQ(killed_report.cancel_reason, "test kill");
-  EXPECT_EQ(killed_report.iterations, 2u);
-  EXPECT_GT(killed_report.checkpoints_written, 0u);
+    // Killed run: the frontier probe trips the token entering iteration 2;
+    // prefetch depth 4 keeps in-flight I/O live across the cancellation so
+    // the drain path is exercised too.
+    CancellationToken token;
+    core::EngineOptions killed_options = options;
+    killed_options.prefetch_depth = 4;
+    killed_options.checkpoint_dir = CheckpointDir() + (resident ? "r" : "p");
+    killed_options.cancel = &token;
+    killed_options.frontier_probe = [&token](std::uint32_t next_iteration,
+                                             const core::Frontier&) {
+      if (next_iteration >= 2) token.Cancel("test kill");
+    };
+    core::GraphSDEngine killed(*t_.dataset, killed_options);
+    algos::Bfs bfs_killed(0);
+    const auto killed_report = ValueOrDie(killed.Run(bfs_killed));
+    EXPECT_TRUE(killed_report.cancelled);
+    EXPECT_EQ(killed_report.cancel_reason, "test kill");
+    EXPECT_EQ(killed_report.iterations, kill_boundary);
+    EXPECT_GT(killed_report.checkpoints_written, 0u);
 
-  // Resume to completion.
-  core::EngineOptions resume_options = Opts();
-  resume_options.prefetch_depth = 4;
-  resume_options.checkpoint_dir = CheckpointDir();
-  resume_options.resume = true;
-  core::GraphSDEngine resumed(*t_.dataset, resume_options);
-  algos::Bfs bfs_resumed(0);
-  const auto resume_report = ValueOrDie(resumed.Run(bfs_resumed));
-  EXPECT_FALSE(resume_report.cancelled);
-  EXPECT_TRUE(resume_report.resumed);
-  EXPECT_EQ(resume_report.resume_iteration, 2u);
-  EXPECT_EQ(resume_report.iterations, base_report.iterations);
-  ExpectBitwiseEqual(Values(bfs_resumed, *resumed.state()), expect);
+    // Resume to completion.
+    core::EngineOptions resume_options = options;
+    resume_options.prefetch_depth = 4;
+    resume_options.checkpoint_dir = killed_options.checkpoint_dir;
+    resume_options.resume = true;
+    core::GraphSDEngine resumed(*t_.dataset, resume_options);
+    algos::Bfs bfs_resumed(0);
+    const auto resume_report = ValueOrDie(resumed.Run(bfs_resumed));
+    EXPECT_FALSE(resume_report.cancelled);
+    EXPECT_TRUE(resume_report.resumed);
+    EXPECT_EQ(resume_report.resume_iteration, kill_boundary);
+    EXPECT_EQ(resume_report.iterations, base_report.iterations);
+    ExpectBitwiseEqual(Values(bfs_resumed, *resumed.state()), expect);
+  }
 }
 
 TEST_F(EngineLifecycleTest, PreCancelledTokenStopsBeforeAnyRound) {
@@ -144,6 +165,119 @@ TEST_F(EngineLifecycleTest, GatherDeadlineKillThenResumeCompletesBudget) {
   EXPECT_FALSE(resume_report.cancelled);
   EXPECT_EQ(resume_report.iterations, 10u);
   ExpectBitwiseEqual(Values(pr_resumed, *resumed.state()), expect);
+}
+
+// Forwards to a PageRank and trips `token` right after its `trip_at`-th
+// Finalize call — after a column's new values are written, so the round is
+// cancelled with the value array already changed. Keeps a copy of the
+// values at that moment.
+class TripAfterFinalize final : public core::GatherProgram {
+ public:
+  TripAfterFinalize(CancellationToken* token, int trip_at)
+      : token_(token), trip_at_(trip_at) {}
+
+  std::string name() const override { return inner_.name(); }
+  std::uint32_t num_value_arrays() const override {
+    return inner_.num_value_arrays();
+  }
+  std::uint32_t max_iterations() const override {
+    return inner_.max_iterations();
+  }
+  void Bind(const std::vector<std::uint32_t>& out_degrees) override {
+    inner_.Bind(out_degrees);
+  }
+  void Init(core::VertexState& state, core::Frontier& initial) override {
+    inner_.Init(state, initial);
+  }
+  double ValueOf(const core::VertexState& state, VertexId v) const override {
+    return inner_.ValueOf(state, v);
+  }
+  void MakeContribution(core::VertexState& state, VertexId v,
+                        core::ContribSlot slot) const override {
+    inner_.MakeContribution(state, v, slot);
+  }
+  void ResetAccum(core::VertexState& state, core::AccumSlot a) const override {
+    inner_.ResetAccum(state, a);
+  }
+  void Accumulate(core::VertexState& state, VertexId src, VertexId dst,
+                  Weight w, core::ContribSlot c,
+                  core::AccumSlot a) const override {
+    inner_.Accumulate(state, src, dst, w, c, a);
+  }
+  void Finalize(core::VertexState& state, VertexId begin, VertexId end,
+                core::AccumSlot a) const override {
+    inner_.Finalize(state, begin, end, a);
+    if (++calls_ == trip_at_) {
+      at_trip_ = Values(inner_, state);
+      token_->Cancel("test kill");
+    }
+  }
+
+  const std::vector<double>& at_trip() const { return at_trip_; }
+
+ private:
+  algos::PageRank inner_{6};
+  CancellationToken* token_;
+  int trip_at_;
+  mutable int calls_ = 0;
+  mutable std::vector<double> at_trip_;
+};
+
+TEST_F(EngineLifecycleTest, GatherMidRoundCancelRollsBackToBoundary) {
+  // P = 3, cross-iteration on: a round of two iterations finalizes one
+  // column of kA per interval, then kB. The 5th Finalize is round 2's
+  // first column, so the cancel lands mid-round with new values written.
+  ASSERT_EQ(t_.dataset->manifest().p, 3u);
+  for (const bool resident : {true, false}) {
+    SCOPED_TRACE(resident ? "resident" : "paper");
+    core::EngineOptions options = Opts();
+    options.semi_external = resident;
+
+    core::GraphSDEngine full(*t_.dataset, options);
+    algos::PageRank pr_full(6);
+    (void)ValueOrDie(full.Run(pr_full));
+    const std::vector<double> expect = Values(pr_full, *full.state());
+    core::EngineOptions two = options;
+    two.max_iterations = 2;
+    core::GraphSDEngine boundary_engine(*t_.dataset, two);
+    algos::PageRank pr_boundary(6);
+    (void)ValueOrDie(boundary_engine.Run(pr_boundary));
+    const std::vector<double> boundary =
+        Values(pr_boundary, *boundary_engine.state());
+
+    TempDir scratch;
+    CancellationToken token;
+    core::EngineOptions killed_options = options;
+    killed_options.checkpoint_dir = CheckpointDir() + (resident ? "r" : "p");
+    killed_options.scratch_dir = scratch.path();
+    killed_options.cancel = &token;
+    core::GraphSDEngine killed(*t_.dataset, killed_options);
+    TripAfterFinalize tripping(&token, 5);
+    const auto killed_report = ValueOrDie(killed.Run(tripping));
+    ASSERT_TRUE(killed_report.cancelled);
+    EXPECT_EQ(killed_report.iterations, 2u);
+    ASSERT_EQ(tripping.at_trip().size(), boundary.size());
+    EXPECT_NE(tripping.at_trip(), boundary) << "the cancel did not land "
+                                               "after a column's values "
+                                               "changed";
+    ExpectBitwiseEqual(Values(tripping, *killed.state()), boundary);
+    const std::string file = ValueOrDie(
+        io::ReadFileToString(scratch.path() + "/values_pagerank.bin"));
+    std::vector<double> on_disk(file.size() / sizeof(double));
+    std::memcpy(on_disk.data(), file.data(), file.size());
+    ExpectBitwiseEqual(on_disk, boundary);
+
+    core::EngineOptions resume_options = options;
+    resume_options.checkpoint_dir = killed_options.checkpoint_dir;
+    resume_options.resume = true;
+    core::GraphSDEngine resumed(*t_.dataset, resume_options);
+    algos::PageRank pr_resumed(6);
+    const auto resume_report = ValueOrDie(resumed.Run(pr_resumed));
+    EXPECT_TRUE(resume_report.resumed);
+    EXPECT_EQ(resume_report.resume_iteration, 2u);
+    EXPECT_EQ(resume_report.iterations, 6u);
+    ExpectBitwiseEqual(Values(pr_resumed, *resumed.state()), expect);
+  }
 }
 
 TEST_F(EngineLifecycleTest, ResumeFallsBackWhenNewestSlotIsDamaged) {

@@ -109,6 +109,7 @@ ReproArtifact ExpectRoundTrip(const ReproArtifact& artifact,
   EXPECT_EQ(loaded.model, artifact.model);
   EXPECT_EQ(loaded.cross_iteration, artifact.cross_iteration);
   EXPECT_EQ(loaded.prefetch_depth, artifact.prefetch_depth);
+  EXPECT_EQ(loaded.semi_external, artifact.semi_external);
   EXPECT_EQ(loaded.fault, artifact.fault);
   EXPECT_EQ(loaded.graph.weighted(), artifact.graph.weighted());
   EXPECT_EQ(loaded.graph.num_vertices(), artifact.graph.num_vertices());
@@ -138,6 +139,7 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   artifact.model = "on_demand";
   artifact.cross_iteration = true;
   artifact.prefetch_depth = 4;
+  artifact.semi_external = false;
   artifact.fault = EngineFault::kDropMaxEdge;
   EdgeList graph(5);
   graph.AddEdge(0, 1, 0.125f);
@@ -188,6 +190,29 @@ TEST(DifftestArtifact, AcceptsRetiredThreadKeys) {
   const auto replayed =
       ValueOrDie(ReplayArtifact(loaded, scratch.path() + "/replay"));
   EXPECT_FALSE(replayed.has_value());
+}
+
+// Repros written before residency became the default have no
+// `semi_external` line: their trials kept the state in RAM only under model
+// semi, and they must replay that way.
+TEST(DifftestArtifact, ArtifactsWithoutResidencyReplayAsRecorded) {
+  ScratchDir scratch = ValueOrDie(ScratchDir::Create());
+  for (const char* model : {"auto", "on_demand", "full", "semi"}) {
+    SCOPED_TRACE(model);
+    const std::string path = scratch.path() + "/old_" + model + ".txt";
+    ASSERT_OK(io::WriteStringToFile(
+        path, std::string("graphsd-difftest-repro v1\nseed 7\nfamily path\n"
+                          "invariant value\nalgo bfs\nroot 0\ncodec none\n"
+                          "p 2\nmodel ") +
+                  model +
+                  "\ncross_iteration 0\nprefetch_depth 0\nfault none\n"
+                  "vertices 3\nedges 2\nweighted 0\ne 0 1\ne 1 2\nend\n"));
+    const ReproArtifact loaded = ValueOrDie(ReadArtifact(path));
+    EXPECT_EQ(loaded.semi_external, std::string(model) == "semi");
+    const auto replayed = ValueOrDie(
+        ReplayArtifact(loaded, scratch.path() + "/replay_" + model));
+    EXPECT_FALSE(replayed.has_value());
+  }
 }
 
 TEST(DifftestArtifact, RejectsMalformedFiles) {

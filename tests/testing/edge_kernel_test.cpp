@@ -246,6 +246,60 @@ TEST(EdgeKernel, BlockKernelsMatchThePerEdgeLoopBitwise) {
   }
 }
 
+TEST(EdgeKernel, FusedGatherKernelMatchesTwoPerEdgePassesBitwise) {
+  // AccumulateEdgesBoth must equal a kPrimary -> kA pass followed by a
+  // kSecondary -> kB pass. The secondary contributions are taken one
+  // iteration later than the primary ones, so a kernel that crossed the
+  // slots would show.
+  const Block warm = RandomBlock(11, kEdges);
+  const std::vector<std::uint32_t> degrees = OutDegrees(warm);
+  const Block random = RandomBlock(12, kEdges);
+  const Block empty;
+  int gathers = 0;
+  for (Case& c : AllPrograms()) {
+    if (c.program->kind() != core::ProgramKind::kGather) continue;
+    ++gathers;
+    c.program->Bind(degrees);
+    const auto& program = static_cast<const core::GatherProgram&>(*c.program);
+    const auto prepare = [&](VertexState& state) {
+      WarmUp(*c.program, state, warm);
+      program.ResetAccum(state, AccumSlot::kA);
+      PerEdgeAccumulate(program, state, core::EdgesOf(warm.edges, {}, false),
+                        ContribSlot::kPrimary, AccumSlot::kA);
+      program.Finalize(state, 0, kVertices, AccumSlot::kA);
+      for (VertexId v = 0; v < kVertices; ++v) {
+        program.MakeContribution(state, v, ContribSlot::kSecondary);
+      }
+    };
+    for (const Block* block : {&random, &empty}) {
+      for (const bool weighted : {true, false}) {
+        const std::string where = c.label +
+                                  (block == &empty ? " empty" : " random") +
+                                  (weighted ? " weighted" : " unweighted");
+        const EdgeSpan run =
+            core::EdgesOf(block->edges, block->weights, weighted);
+        VertexState expected = MakeState(program);
+        VertexState actual = MakeState(program);
+        prepare(expected);
+        prepare(actual);
+        ASSERT_NE(std::memcmp(expected.contrib(ContribSlot::kPrimary).data(),
+                              expected.contrib(ContribSlot::kSecondary).data(),
+                              expected.contrib(ContribSlot::kPrimary)
+                                  .size_bytes()),
+                  0)
+            << where;
+        PerEdgeAccumulate(program, expected, run, ContribSlot::kPrimary,
+                          AccumSlot::kA);
+        PerEdgeAccumulate(program, expected, run, ContribSlot::kSecondary,
+                          AccumSlot::kB);
+        program.AccumulateEdgesBoth(actual, run);
+        ExpectSameState(expected, actual, true, where);
+      }
+    }
+  }
+  EXPECT_GT(gathers, 0);
+}
+
 TEST(EdgeKernel, KernelsActuallyApplySomething) {
   // Guards the test above against vacuity: on the random block the
   // unguarded SSSP kernel must relax edges and activate vertices.

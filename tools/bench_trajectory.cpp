@@ -220,8 +220,8 @@ int Main(int argc, char** argv) {
   for (const DatasetSpec& spec : Specs()) {
     const PreparedDataset dataset = Prepare(*device, spec);
     for (const Algo algo : algos) {
-      // Baseline: the default engine configuration, no checkpointing.
-      core::EngineOptions base;
+      // Baseline: the paper configuration, no checkpointing.
+      core::EngineOptions base = core::PaperEngineOptions();
       double t0 = WallNow();
       const auto plain = RunGraphSD(*device, dataset, algo, base);
       const double plain_wall = WallNow() - t0;
@@ -360,7 +360,7 @@ int Main(int argc, char** argv) {
   for (const DatasetSpec& spec : Specs()) {
     const PreparedDataset dataset = Prepare(*device, spec);
     for (const Algo algo : semi_algos) {
-      core::EngineOptions base;
+      core::EngineOptions base = core::PaperEngineOptions();
       const auto two_way = RunGraphSD(*device, dataset, algo, base);
       core::EngineOptions semi = base;
       semi.semi_external = true;
@@ -454,7 +454,7 @@ int Main(int argc, char** argv) {
   std::uint64_t hdd_s_total = 0;
   for (const DatasetSpec& spec : Specs()) {
     const PreparedDataset dataset = Prepare(*device, spec);
-    core::EngineOptions opts;
+    core::EngineOptions opts = core::PaperEngineOptions();
     const auto hdd_run = RunGraphSD(*hdd_device, dataset, Algo::kSssp, opts);
     const auto ssd_run = RunGraphSD(*ssd_device, dataset, Algo::kSssp, opts);
     core::EngineOptions semi_opts;

@@ -92,28 +92,35 @@ test -f "$OBS_DIR/ck_int/checkpoint.0.gsck" \
 "$CLI" difftest --kill-resume --seeds 2 --seed0 77 > /dev/null 2>&1
 echo "lifecycle smoke: OK"
 
-echo "== tier 1: semi-external smoke (--mode semi / --cache-compressed) =="
+echo "== tier 1: semi-external smoke (--mode semi / paper / --cache-compressed) =="
 # Sparse-frontier workload (SSSP on a 64x64 grid: a long diagonal wavefront
 # touches few intervals per round, so the scheduler's third cost C_m wins
-# naturally): semi mode must actually elide sub-block I/O via the skip
-# summaries, report semi rounds, and agree bit-exactly with the default
-# engine.
+# naturally): the default (resident) engine must actually elide sub-block
+# I/O via the skip summaries, report semi rounds, write the values file
+# once, and agree bit-exactly with --mode semi and with the paper's
+# out-of-core state (--mode paper).
 "$CLI" generate --type grid --rows 64 --cols 64 --max-weight 9 \
     --out "$OBS_DIR/grid.bin" > /dev/null
 "$CLI" preprocess --input "$OBS_DIR/grid.bin" --out "$OBS_DIR/ds_grid" \
     --p 4 > /dev/null
 "$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 \
-    --values-out "$OBS_DIR/sssp_default.txt" > /dev/null
+    --values-out "$OBS_DIR/sssp_default.txt" \
+    --report-json "$OBS_DIR/report_default.json" > /dev/null
 "$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 \
-    --mode semi --values-out "$OBS_DIR/sssp_semi.txt" \
-    --report-json "$OBS_DIR/report_semi.json" > /dev/null
+    --mode semi --values-out "$OBS_DIR/sssp_semi.txt" > /dev/null
+"$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 \
+    --mode paper --values-out "$OBS_DIR/sssp_paper.txt" > /dev/null
 cmp "$OBS_DIR/sssp_default.txt" "$OBS_DIR/sssp_semi.txt"
-python3 - "$OBS_DIR/report_semi.json" <<'PYEOF'
+cmp "$OBS_DIR/sssp_default.txt" "$OBS_DIR/sssp_paper.txt"
+python3 - "$OBS_DIR/report_default.json" <<'PYEOF'
 import json, sys
-semi = json.load(open(sys.argv[1]))["semi_external"]
+doc = json.load(open(sys.argv[1]))
+semi = doc["semi_external"]
 assert semi["rounds"] > 0, semi
 assert semi["blocks_skipped"] > 0, semi
 assert semi["blocks_skipped_bytes"] > 0, semi
+# One |V|·N persist: 64x64 vertices, SSSP's one 8-byte array.
+assert doc["io"]["total_write_bytes"] == 64 * 64 * 8, doc["io"]
 PYEOF
 # Compressed dataset + frame cache: decode-on-hit entries must appear and
 # the answers must still match the default engine bit for bit.
@@ -137,7 +144,8 @@ echo "== tier 1: SSD scheduling smoke (--device sim:ssd / real:ssd) =="
 # and log the decision (model "S") with its cost inputs in the report. The
 # same workload then runs on the real:ssd backend (O_DIRECT + batched
 # preadv, SSD scheduler economics, wall-clock time) and must produce
-# bit-identical values.
+# bit-identical values. Both state policies are checked: the default
+# (resident) and the paper's out-of-core state.
 "$CLI" generate --type grid --rows 256 --cols 256 --max-weight 9 \
     --out "$OBS_DIR/grid_ssd.bin" > /dev/null
 "$CLI" preprocess --input "$OBS_DIR/grid_ssd.bin" --out "$OBS_DIR/ds_ssd" \
@@ -145,15 +153,24 @@ echo "== tier 1: SSD scheduling smoke (--device sim:ssd / real:ssd) =="
 "$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 \
     --device sim:ssd --values-out "$OBS_DIR/sssp_ssd_sim.txt" \
     --report-json "$OBS_DIR/report_ssd.json" > /dev/null
-python3 - "$OBS_DIR/report_ssd.json" <<'PYEOF'
+"$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 \
+    --device sim:ssd --mode paper --values-out "$OBS_DIR/sssp_ssd_paper.txt" \
+    --report-json "$OBS_DIR/report_ssd_paper.json" > /dev/null
+cmp "$OBS_DIR/sssp_ssd_sim.txt" "$OBS_DIR/sssp_ssd_paper.txt"
+python3 - "$OBS_DIR/report_ssd.json" "$OBS_DIR/report_ssd_paper.json" <<'PYEOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["cost_model"]["seek_seconds"] <= 1e-4, doc["cost_model"]
-models = [r["model"] for r in doc["per_round"]]
-assert "S" in models, models
-for r in doc["per_round"]:
-    if r["model"] in ("S", "F"):
-        assert r["cost_on_demand"] > 0 and r["cost_full"] > 0, r
+for path, paper in ((sys.argv[1], False), (sys.argv[2], True)):
+    doc = json.load(open(path))
+    assert doc["cost_model"]["seek_seconds"] <= 1e-4, doc["cost_model"]
+    models = [r["model"] for r in doc["per_round"]]
+    assert "S" in models, (path, models)
+    for r in doc["per_round"]:
+        if r["model"] in ("S", "F"):
+            assert r["cost_full"] > 0, r
+            # The paper's C_r always carries the |V|·N values terms; with
+            # resident state it is zero for a frontier with no out-edges.
+            if paper or r["active_edges"] > 0:
+                assert r["cost_on_demand"] > 0, r
 PYEOF
 "$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 \
     --device real:ssd --values-out "$OBS_DIR/sssp_ssd_real.txt" > /dev/null

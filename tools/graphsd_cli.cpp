@@ -284,8 +284,10 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("no-selective", "false", "disable the on-demand model (b2)");
   flags.Define("no-buffer", "false", "disable the sub-block buffer");
   flags.Define("mode", "auto",
-               "auto | semi: semi keeps vertex state RAM-resident and adds "
-               "skip-summary selective streaming as a third scheduler choice");
+               "auto | semi | paper: auto (= semi) keeps vertex state "
+               "RAM-resident and adds skip-summary selective streaming as a "
+               "third scheduler choice; paper keeps the state out of core, "
+               "loaded and written back every round");
   flags.Define("cache-compressed", "false",
                "cache compressed GSDF frames in the sub-block buffer "
                "(decode-on-hit; no effect on raw datasets)");
@@ -363,17 +365,17 @@ int CmdRun(int argc, const char* const* argv) {
   std::unique_ptr<baselines::LumosEngine> lumos;
   core::CancellationToken interrupt_token;
   if (engine_kind == "graphsd") {
-    core::EngineOptions options;
+    const std::string mode = flags.GetString("mode");
+    if (mode != "auto" && mode != "semi" && mode != "paper") {
+      std::fprintf(stderr, "unknown --mode %s (auto | semi | paper)\n",
+                   mode.c_str());
+      return 1;
+    }
+    core::EngineOptions options =
+        mode == "paper" ? core::PaperEngineOptions() : core::EngineOptions{};
     options.enable_cross_iteration = !flags.GetBool("no-cross-iteration");
     options.enable_selective = !flags.GetBool("no-selective");
     options.enable_buffering = !flags.GetBool("no-buffer");
-    const std::string mode = flags.GetString("mode");
-    if (mode == "semi") {
-      options.semi_external = true;
-    } else if (mode != "auto") {
-      std::fprintf(stderr, "unknown --mode %s (auto | semi)\n", mode.c_str());
-      return 1;
-    }
     options.cache_compressed = flags.GetBool("cache-compressed");
     options.prefetch_depth =
         CheckedCast<std::size_t>(flags.GetInt("prefetch-depth"));
@@ -495,11 +497,13 @@ int CmdDifftest(int argc, const char* const* argv) {
     auto divergence = testing::ReplayArtifact(*artifact, scratch->path());
     if (!divergence.ok()) return Fail(divergence.status());
     std::printf("replay %s: algo=%s model=%s p=%u codec=%s "
-                "cross=%d depth=%u fault=%s (%u vertices, %llu edges)\n",
+                "cross=%d depth=%u semi_external=%d fault=%s (%u vertices, "
+                "%llu edges)\n",
                 replay.c_str(), artifact->algo.c_str(),
                 artifact->model.c_str(), artifact->p, artifact->codec.c_str(),
-                artifact->cross_iteration ? 1 : 0,
-                artifact->prefetch_depth, testing::FaultName(artifact->fault),
+                artifact->cross_iteration ? 1 : 0, artifact->prefetch_depth,
+                artifact->semi_external ? 1 : 0,
+                testing::FaultName(artifact->fault),
                 artifact->graph.num_vertices(),
                 static_cast<unsigned long long>(artifact->graph.num_edges()));
     if (!divergence->has_value()) {
