@@ -94,20 +94,18 @@ void ChargeToRound(const OutsideRoundIo& charge, ExecutionReport& report,
   round->write_bytes += charge.io.TotalWriteBytes();
 }
 
-/// Records the skip summary of every non-empty sub-block `summaries` lacks
-/// from its CSR source index (one accounted read each). Summaries are
-/// exact, so one that cannot be read just stays unknown (no skip).
-void LearnSummariesFromIndex(const partition::GridDataset& dataset,
-                             SkipSummaryStore& summaries,
-                             obs::TraceBuffer* trace) {
-  const auto& manifest = dataset.manifest();
-  for (std::uint32_t i = 0; i < manifest.p; ++i) {
-    for (std::uint32_t j = 0; j < manifest.p; ++j) {
-      if (manifest.EdgesIn(i, j) == 0 || summaries.Known(i, j)) continue;
-      obs::TraceSpan span(trace, "index-read", 0);
-      auto offsets = dataset.LoadIndex(i, j);
-      if (offsets.ok()) summaries.RecordFromOffsets(i, j, *offsets);
-    }
+/// Records the skip summaries of `blocks` from their CSR source indexes
+/// (one accounted read each). One that cannot be read stays unknown (no
+/// skip).
+void LearnSummaries(
+    const partition::GridDataset& dataset,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& blocks,
+    SkipSummaryStore& summaries, obs::TraceBuffer* trace,
+    std::uint32_t iteration) {
+  for (const auto& [i, j] : blocks) {
+    obs::TraceSpan span(trace, "index-read", iteration);
+    auto offsets = dataset.LoadIndex(i, j);
+    if (offsets.ok()) summaries.RecordFromOffsets(i, j, *offsets);
   }
 }
 
@@ -492,12 +490,14 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   FciuExecutor fciu(ctx);
   SemiExecutor semi(ctx);
   StateAwareScheduler scheduler(*dataset_, device.options().cost_model);
-  // Resident runs decide on exact summaries from the first round: an
-  // indexed dataset's are all recorded below, before it. Summaries learned
-  // from decodes depend on what the run has fetched so far, so without an
-  // index the semi model is costed with none — the decisions stay a
-  // function of the dataset and the frontier, which a resumed run repeats
-  // exactly (DESIGN.md §12).
+  // Resident runs decide as if every summary were known: on an indexed
+  // dataset, a round whose decision hinges on summaries the store lacks
+  // reads them from the index and is costed again.
+  // Without an index there is nothing to read them from, and summaries
+  // learned from decodes depend on what the run has fetched so far, so the
+  // semi model is costed with none — the decisions stay a function of the
+  // dataset and the frontier, which a resumed run repeats exactly
+  // (DESIGN.md §12).
   const SemiCostInputs semi_inputs{manifest.has_index ? summaries : nullptr};
 
   const bool checkpointing = !options_.checkpoint_dir.empty();
@@ -557,12 +557,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   const std::string values_path = ValuesPath(program);
   ValueStore values(resident, state, device, values_path, options_.trace);
   GRAPHSD_RETURN_IF_ERROR(values.Start());
-  OutsideRoundIo summary_probes;
-  if (resident && manifest.has_index) {
-    summary_probes = MeasureIo(device, [&] {
-      LearnSummariesFromIndex(*dataset_, *summaries, options_.trace);
-    });
-  }
 
   const std::uint32_t max_iterations =
       std::min(program.max_iterations(), options_.max_iterations);
@@ -613,6 +607,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     stat.first_iteration = iterations;
     bool on_demand = false;
     bool semi_round = false;
+    OutsideRoundIo summary_reads;
     const RoundModelChoice choice = options_.model_override
                                         ? options_.model_override(iterations)
                                         : RoundModelChoice::kAuto;
@@ -633,16 +628,30 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
           overlap && report.rounds > 0
               ? report.compute_seconds / report.rounds
               : (overlap ? 0.0 : -1.0);
-      obs::TraceSpan span(options_.trace, "schedule-decision", iterations);
       // Resident state moves no per-round |V|·N values bytes, so those
-      // terms drop out of every model's formula (record bytes = 0).
-      const SchedulerDecision decision = scheduler.Evaluate(
-          active, resident ? 0 : state.BytesPerVertex(),
-          program.needs_weights() && manifest.weighted,
-          /*fciu_round=*/options_.enable_cross_iteration &&
-              iterations + 2 <= max_iterations,
-          overlap_compute, resident ? &semi_inputs : nullptr);
+      // terms drop out of every model's formula (record bytes = 0). Forced
+      // on-demand rounds (b4) never take the semi model: it is not costed.
+      const SemiCostInputs* semi_costing =
+          resident && !options_.force_on_demand ? &semi_inputs : nullptr;
+      auto evaluate = [&] {
+        obs::TraceSpan span(options_.trace, "schedule-decision", iterations);
+        return scheduler.Evaluate(
+            active, resident ? 0 : state.BytesPerVertex(),
+            program.needs_weights() && manifest.weighted,
+            /*fciu_round=*/options_.enable_cross_iteration &&
+                iterations + 2 <= max_iterations,
+            overlap_compute, semi_costing);
+      };
+      SchedulerDecision decision = evaluate();
       stat.scheduler_seconds = decision.eval_seconds;
+      if (!decision.semi_unknown.empty()) {
+        summary_reads = MeasureIo(device, [&] {
+          LearnSummaries(*dataset_, decision.semi_unknown, *summaries,
+                         options_.trace, iterations);
+        });
+        decision = evaluate();
+        stat.scheduler_seconds += decision.eval_seconds;
+      }
       // Record the raw model estimates: the charged (compute-floored)
       // values only break ties for the decision and would obscure the
       // cost-model shapes Figure 10 plots.
@@ -760,6 +769,10 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     }
     GRAPHSD_RETURN_IF_ERROR(values.CommitRound(stat.first_iteration));
     accounting.Commit(options_.record_per_round);
+    // Read before the round's accounting window opened: charged to it.
+    ChargeToRound(summary_reads, report,
+                  options_.record_per_round ? &report.per_round.back()
+                                            : nullptr);
     if (options_.frontier_probe) options_.frontier_probe(iterations, active);
     if (checkpointing &&
         iterations - last_checkpoint_iteration >= checkpoint_every) {
@@ -767,9 +780,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     }
   }
 
-  // The probes ran before the first round: charged to it.
-  ChargeToRound(summary_probes, report,
-                report.per_round.empty() ? nullptr : &report.per_round.front());
   GRAPHSD_RETURN_IF_ERROR(values.Finish(iterations, report));
   if (report.cancelled) {
     GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",

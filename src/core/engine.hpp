@@ -47,7 +47,10 @@ enum class RoundModelChoice : std::uint8_t { kAuto, kOnDemand, kFull, kSemi };
 struct EngineOptions {
   /// Cross-iteration value computation (SCIU step 3 / FCIU second half).
   bool enable_cross_iteration = true;
-  /// State-aware scheduling: allow the on-demand I/O model at all.
+  /// State-aware scheduling: allow the on-demand I/O model at all. Under
+  /// resident state the semi-external model stays a choice either way, so
+  /// "always full streaming" (the b2/b3 ablations) is this switch applied
+  /// to PaperEngineOptions().
   bool enable_selective = true;
   /// Force the on-demand model every iteration (ablation b4).
   bool force_on_demand = false;

@@ -155,10 +155,13 @@ SchedulerDecision StateAwareScheduler::Evaluate(
     run_segments.clear();
   };
 
-  // Per-row active locals, collected only when the semi-external model is
-  // being costed (its skip tests are per-row bitset probes).
+  // Per-row active locals and active edges, collected only when the
+  // semi-external model is being costed (its skip tests are per-row bitset
+  // probes).
   std::vector<std::vector<VertexId>> row_locals(semi != nullptr ? manifest.p
                                                                 : 0);
+  std::vector<std::uint64_t> row_active_edges(semi != nullptr ? manifest.p
+                                                              : 0);
 
   active.ForEachActive([&](std::size_t idx) {
     const auto v = static_cast<VertexId>(idx);
@@ -182,6 +185,7 @@ SchedulerDecision StateAwareScheduler::Evaluate(
     }
     if (semi != nullptr) {
       row_locals[cursor_row].push_back(v - manifest.boundaries[cursor_row]);
+      row_active_edges[cursor_row] += deg;
     }
     if (run_segments.empty() || run_segments.back().row != cursor_row) {
       run_segments.push_back({cursor_row, 0, 0});
@@ -268,31 +272,47 @@ SchedulerDecision StateAwareScheduler::Evaluate(
   // sub-block that survives the skip tests. No vertex-values terms at all —
   // the state is RAM-resident. Like C_r and C_s, no credit for buffered
   // sub-blocks: the decision must not depend on what a run happens to have
-  // cached.
+  // cached. A sub-block whose summary is unknown is costed as a full fetch
+  // and tallied apart, unless counting already rules out a skip: the row's
+  // active edges do not fit in its other sub-blocks.
   double cost_semi_io = 0;
+  std::uint64_t semi_read_bytes = 0;
+  std::uint64_t semi_decoded_bytes = 0;
+  std::uint64_t unknown_read_bytes = 0;
+  std::uint64_t unknown_decoded_bytes = 0;
   if (semi != nullptr) {
-    std::uint64_t semi_read_bytes = 0;
-    std::uint64_t semi_decoded_bytes = 0;
     for (std::uint32_t i = 0; i < manifest.p; ++i) {
       const bool row_has_actives = !row_locals[i].empty();
+      std::uint64_t row_edges = 0;
+      for (std::uint32_t j = 0; j < manifest.p; ++j) {
+        row_edges += manifest.EdgesIn(i, j);
+      }
       for (std::uint32_t j = 0; j < manifest.p; ++j) {
         const std::uint64_t edges = manifest.EdgesIn(i, j);
         if (edges == 0) continue;
+        const std::uint64_t bytes =
+            manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
         if (!row_has_actives ||
             (semi->summaries != nullptr &&
              semi->summaries->CanSkip(i, j, row_locals[i]))) {
           ++d.semi_skipped_blocks;
-          d.semi_skipped_bytes +=
-              manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
+          d.semi_skipped_bytes += bytes;
           continue;
         }
-        semi_read_bytes +=
-            manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
-        if (compressed) semi_decoded_bytes += edges * kEdgeBytes;
+        const bool may_skip = semi->summaries != nullptr &&
+                              !semi->summaries->Known(i, j) &&
+                              row_active_edges[i] <= row_edges - edges;
+        if (may_skip) d.semi_unknown.emplace_back(i, j);
+        (may_skip ? unknown_read_bytes : semi_read_bytes) += bytes;
+        if (compressed) {
+          (may_skip ? unknown_decoded_bytes : semi_decoded_bytes) +=
+              edges * kEdgeBytes;
+        }
       }
     }
-    cost_semi_io = model_.SeqReadSeconds(semi_read_bytes);
-    d.decode_seconds_semi = model_.DecodeSeconds(semi_decoded_bytes);
+    cost_semi_io = model_.SeqReadSeconds(semi_read_bytes + unknown_read_bytes);
+    d.decode_seconds_semi =
+        model_.DecodeSeconds(semi_decoded_bytes + unknown_decoded_bytes);
   }
 
   // Decode runs on the compute side: serially it adds to the model's cost,
@@ -332,8 +352,23 @@ SchedulerDecision StateAwareScheduler::Evaluate(
     const double winner_cost = d.on_demand ? d.cost_on_demand : d.cost_full;
     const double winner_serial =
         d.on_demand ? d.serial_cost_on_demand : d.serial_cost_full;
-    d.semi = d.cost_semi != winner_cost ? d.cost_semi < winner_cost
-                                        : d.serial_cost_semi < winner_serial;
+    auto beats_winner = [&](double charged, double serial) {
+      return charged != winner_cost ? charged < winner_cost
+                                    : serial < winner_serial;
+    };
+    d.semi = beats_winner(d.cost_semi, d.serial_cost_semi);
+    if (!d.semi_unknown.empty()) {
+      // The unknown summaries decide only if semi wins with every one of
+      // them proving a skip (C_m's lower bound).
+      const double io = model_.SeqReadSeconds(semi_read_bytes);
+      const double decode = model_.DecodeSeconds(semi_decoded_bytes);
+      const double charged =
+          d.overlapped
+              ? io::IoCostModel::OverlapSeconds(
+                    io, overlap_compute_seconds + decode)
+              : io + decode;
+      if (!beats_winner(charged, io + decode)) d.semi_unknown.clear();
+    }
   }
   d.eval_seconds = timer.Seconds();
   return d;

@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "core/frontier.hpp"
 #include "core/skip_summary.hpp"
@@ -45,7 +47,8 @@ double InterpolateExpectedColumns(std::span<const std::uint64_t> anchors,
 
 /// Optional inputs that make the semi-external model (DESIGN.md §14) a
 /// third costed choice in Evaluate. `summaries` drives the skip estimate:
-/// an unknown summary — or a null store — is costed as a full fetch.
+/// an unknown summary — or a null store — is costed as a full fetch (see
+/// SchedulerDecision::semi_unknown).
 struct SemiCostInputs {
   const SkipSummaryStore* summaries = nullptr;
 };
@@ -57,6 +60,12 @@ struct SchedulerDecision {
   /// two-way decision that still stands). When set, `on_demand` still
   /// records the two-way winner the semi model beat.
   bool semi = false;
+  /// Sub-blocks (i, j) whose skip summaries the store lacks and on which
+  /// the semi decision depends: C_m with each of them proving a skip beats
+  /// the two-way winner. Empty when the decision stands as made. The
+  /// caller records these summaries and evaluates again, so every decision
+  /// is the one all summaries known would give.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> semi_unknown;
   double cost_on_demand = 0;  // C_r, seconds (pipelined charge when overlapped)
   double cost_full = 0;       // C_s, seconds (pipelined charge when overlapped)
   double cost_semi = 0;       // C_m, seconds (0 = semi not costed)

@@ -39,9 +39,9 @@ Status SemiExecutor::RunIteration(const PushProgram& program,
   // pipeline. Two ways a sub-block is elided before any edge I/O:
   //   1. its whole source row has no active vertices;
   //   2. its recorded summary proves no active source has edges in it.
-  // On an indexed dataset the engine has recorded every summary before the
-  // first round; otherwise anything fetched is recorded from its decoded
-  // edges, so later rounds can skip it.
+  // On an indexed dataset the engine's scheduling step has recorded every
+  // summary that could prove a skip this round; otherwise anything fetched
+  // is recorded from its decoded edges, so later rounds can skip it.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;
   for (std::uint32_t j = 0; j < p; ++j) {
     for (std::uint32_t i = 0; i < p; ++i) {

@@ -13,13 +13,13 @@
 // semi round is bitwise-equivalent to a plain full round over the same
 // frontier (the difftest `semi` axis asserts this).
 //
-// On an indexed dataset the engine records every summary from the CSR
-// source indexes before a resident run's first round (one small accounted
-// read per non-empty sub-block whose summary the store lacks); otherwise a
-// sub-block's summary is recorded from its decoded edges the first time it
-// is fetched. Summaries are dataset-static, so a shared store (the
-// `graphsd serve` registry tier) lets every run skip what any run has
-// learned.
+// On an indexed dataset the engine, while scheduling a round, records from
+// the CSR source indexes the unknown summaries that could prove a skip and
+// change the decision (one small accounted read per sub-block, see
+// SchedulerDecision::semi_unknown); otherwise a sub-block's summary is
+// recorded from its decoded edges the first time it is fetched. Summaries
+// are dataset-static, so a shared store (the `graphsd serve` registry tier)
+// lets every run skip what any run has learned.
 //
 // Fetched sub-blocks flow through the same priority buffer and prefetch
 // pipeline as FCIU, including compressed-frame caching with decode-on-hit.

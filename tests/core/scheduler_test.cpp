@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/skip_summary.hpp"
 #include "graph/generators.hpp"
 #include "testing_util.hpp"
 
@@ -190,6 +191,62 @@ TEST_F(SchedulerTest, SsdProfileFlipsADecisionTheHddProfileRefuses) {
     if (!d_hdd.on_demand && d_ssd.on_demand) flipped = true;
   }
   EXPECT_TRUE(flipped);
+}
+
+// Semi-external costing asks only for the skip summaries that can change
+// its decision. In a full frontier every row's active edges fill all of its
+// sub-blocks, so no skip is possible and no summary is asked for.
+TEST_F(SchedulerTest, DenseFrontierAsksForNoSkipSummaries) {
+  StateAwareScheduler scheduler(*dataset_, io::IoCostModel::Ssd());
+  Frontier active(dataset_->num_vertices());
+  active.ActivateAll();
+  SkipSummaryStore store(dataset_->manifest());
+  const SemiCostInputs semi{&store};
+  const SchedulerDecision d =
+      scheduler.Evaluate(active, 0, false, false, -1.0, &semi);
+  EXPECT_TRUE(d.semi_unknown.empty());
+  EXPECT_FALSE(d.semi);
+}
+
+// A sparse frontier asks for unknown summaries in its own row only; once
+// those are recorded, the decision and C_m are the ones every summary known
+// gives.
+TEST_F(SchedulerTest, SparseFrontierAsksForItsRowsSummaries) {
+  const auto& manifest = dataset_->manifest();
+  VertexId v = 0;
+  while (dataset_->out_degrees()[v] == 0) ++v;
+  ASSERT_LT(v, manifest.boundaries[1]);
+  StateAwareScheduler scheduler(*dataset_, io::IoCostModel::Ssd());
+  Frontier active(dataset_->num_vertices());
+  active.Activate(v);
+
+  SkipSummaryStore partial(manifest);
+  const SemiCostInputs semi{&partial};
+  const SchedulerDecision first =
+      scheduler.Evaluate(active, 0, false, false, -1.0, &semi);
+  ASSERT_FALSE(first.semi_unknown.empty());
+  for (const auto& [i, j] : first.semi_unknown) {
+    EXPECT_EQ(i, 0u);
+    partial.RecordFromOffsets(i, j, ValueOrDie(dataset_->LoadIndex(i, j)));
+  }
+  const SchedulerDecision second =
+      scheduler.Evaluate(active, 0, false, false, -1.0, &semi);
+  EXPECT_TRUE(second.semi_unknown.empty());
+
+  SkipSummaryStore full(manifest);
+  for (std::uint32_t i = 0; i < manifest.p; ++i) {
+    for (std::uint32_t j = 0; j < manifest.p; ++j) {
+      if (manifest.EdgesIn(i, j) == 0) continue;
+      full.RecordFromOffsets(i, j, ValueOrDie(dataset_->LoadIndex(i, j)));
+    }
+  }
+  const SemiCostInputs all{&full};
+  const SchedulerDecision known =
+      scheduler.Evaluate(active, 0, false, false, -1.0, &all);
+  EXPECT_TRUE(known.semi_unknown.empty());
+  EXPECT_EQ(second.semi, known.semi);
+  EXPECT_EQ(second.serial_cost_semi, known.serial_cost_semi);
+  EXPECT_EQ(second.semi_skipped_blocks, known.semi_skipped_blocks);
 }
 
 }  // namespace

@@ -54,6 +54,13 @@ std::vector<ConfigCase> AllConfigs() {
     o.enable_buffering = false;
     configs.push_back({"plain_bsp", o});
   }
+  // The paper's out-of-core state, with its always-full (b2) ablation.
+  configs.push_back({"paper", core::PaperEngineOptions()});
+  {
+    core::EngineOptions o = core::PaperEngineOptions();
+    o.enable_selective = false;
+    configs.push_back({"paper_b2_no_selective", o});
+  }
   return configs;
 }
 

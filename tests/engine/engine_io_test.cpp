@@ -139,8 +139,9 @@ TEST_F(EngineIoTest, ResidentStateWritesValuesOnce) {
 
 TEST_F(EngineIoTest, UnweightedAlgorithmNeverReadsWeightFiles) {
   // The dataset is weighted; BFS must stream only the 8-byte edge records.
-  core::EngineOptions options;
-  options.enable_selective = false;  // full loads: easy arithmetic
+  // Paper state and no SCIU: every round a full load, easy arithmetic.
+  core::EngineOptions options = core::PaperEngineOptions();
+  options.enable_selective = false;
   options.enable_cross_iteration = false;
   options.enable_buffering = false;
   core::GraphSDEngine engine(*t_.dataset, options);
@@ -156,7 +157,7 @@ TEST_F(EngineIoTest, UnweightedAlgorithmNeverReadsWeightFiles) {
 }
 
 TEST_F(EngineIoTest, SsspReadsWeightsToo) {
-  core::EngineOptions options;
+  core::EngineOptions options = core::PaperEngineOptions();  // full loads
   options.enable_selective = false;
   options.enable_cross_iteration = false;
   options.enable_buffering = false;

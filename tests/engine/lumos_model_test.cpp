@@ -30,7 +30,7 @@ class LumosModelTest : public ::testing::Test {
 // Propagation materialization adds exactly |V|·N write + read per
 // cross-iteration round and nothing else.
 TEST_F(LumosModelTest, PropagationIoChargedPerFciuRound) {
-  core::EngineOptions base;
+  core::EngineOptions base = core::PaperEngineOptions();  // as Lumos runs
   base.enable_selective = false;
   base.enable_buffering = false;
   core::EngineOptions lumosish = base;
@@ -54,7 +54,7 @@ TEST_F(LumosModelTest, PropagationIoChargedPerFciuRound) {
 // Plain rounds (no cross-iteration) charge no propagation I/O even when
 // the flag is set.
 TEST_F(LumosModelTest, NoChargeOnPlainRounds) {
-  core::EngineOptions options;
+  core::EngineOptions options = core::PaperEngineOptions();  // as Lumos runs
   options.enable_selective = false;
   options.enable_buffering = false;
   options.enable_cross_iteration = false;  // plain rounds only

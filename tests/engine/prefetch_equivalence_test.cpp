@@ -181,8 +181,10 @@ TEST_P(PrefetchEquivalence, SsspForcedOnDemand) {
 TEST_P(PrefetchEquivalence, BfsFullStreamingOnly) {
   TempDir dir;
   TestDataset t = MakeDataset(Case().make(), dir.Sub("ds"), 4);
-  core::EngineOptions base;
-  base.enable_selective = false;  // FCIU double-buffered prefetch path
+  // FCIU double-buffered prefetch path on every round: the paper's models
+  // with the on-demand one disabled (resident state adds semi rounds).
+  core::EngineOptions base = core::PaperEngineOptions();
+  base.enable_selective = false;
   SweepConfigs(t, base, [] { return algos::Bfs(0); });
 }
 
@@ -245,8 +247,10 @@ class PrefetchFaultParity : public ::testing::Test {
 };
 
 TEST_F(PrefetchFaultParity, TransientReadFaultRetriedIdentically) {
-  core::EngineOptions base;
-  base.enable_selective = false;  // keep the whole run on prefetched FCIU
+  // Keep the whole run on prefetched FCIU (the paper's models, on-demand
+  // disabled; resident state would add semi rounds).
+  core::EngineOptions base = core::PaperEngineOptions();
+  base.enable_selective = false;
   const auto run = [&](const PrefetchConfig& config) {
     return Observe(t_, WithConfig(base, config), algos::Sssp(0));
   };

@@ -30,9 +30,10 @@ class ResilienceTest : public ::testing::Test {
   void TearDown() override { t_.device->set_fault_injector(nullptr); }
 
   /// Engine options for deterministic replay. `on_demand`
-  /// picks the SCIU (true) or FCIU (false) I/O model.
+  /// picks the SCIU (true) or FCIU (false) I/O model; the paper's
+  /// configuration, so no round takes the semi-external model.
   static core::EngineOptions Opts(bool on_demand) {
-    core::EngineOptions options;
+    core::EngineOptions options = core::PaperEngineOptions();
     if (on_demand) {
       options.force_on_demand = true;
     } else {

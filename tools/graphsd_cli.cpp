@@ -281,7 +281,7 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("epsilon", "1e-9", "prd: residual activation threshold");
   flags.Define("root", "0", "sssp/bfs: source vertex");
   flags.Define("no-cross-iteration", "false", "disable cross-iteration (b1)");
-  flags.Define("no-selective", "false", "disable the on-demand model (b2)");
+  flags.Define("no-selective", "false", "disable the on-demand model (b2 under --mode paper)");
   flags.Define("no-buffer", "false", "disable the sub-block buffer");
   flags.Define("mode", "auto",
                "auto | semi | paper: auto (= semi) keeps vertex state "
